@@ -73,8 +73,6 @@ from .hilb1 import (
 from .census import (
     CapacityError,
     CensusReport,
-    census_scalar_counts,
-    enumerate_params,
     find_witness,
     index_to_params,
     params_to_index,

@@ -1,22 +1,38 @@
-"""Exhaustive enumeration of antisymmetric exponent matrices mod n.
+"""Exhaustive census of antisymmetric exponent matrices mod n.
 
 The strict upper triangle, read row-major, is treated as a base-n counter;
 that fixes a canonical index for every matrix and makes witness extraction
-reproducible.  The scanner vectorizes the two filters (column sums for the
-CY test, triangle exponents for genericity) over blocks of indices with
-numpy; blocks partition the counter range, so parallel workers own disjoint
-sub-ranges and the merge is plain tally addition plus keeping the smallest
-witness indices.  A second, independently coded scalar pass over the same
-space serves as the self-oracle for the counts.
+reproducible.
+
+Adding a twist matrix e_ij = d_i - d_j keeps every triangle exponent and
+shifts every column sum by sum(d), so the CY, generic and full predicates are
+constant on twist classes.  Each class of n^(n-1) matrices has exactly one
+member with a zero first row, and it is the member with the smallest index.
+The first row holds the most significant counter digits, so these
+representatives are exactly the index prefix 0 .. n^((n-1)(n-2)/2) - 1, and
+only that prefix is scanned.  The scanner vectorizes the predicates over
+blocks of it with numpy; blocks partition the prefix, so parallel workers own
+disjoint sub-ranges.
+
+Results are lifted back to all matrices exactly:
+
+* class tallies times n^(n-1) give the raw counts;
+* a representative has zero column sums when it is CY, and the member whose
+  first row is r has column sums -sum(r), so a CY class has zero column sums
+  on the n^(n-2) members with sum(r) = 0 mod n;
+* the member with first row r has index r * n^((n-1)(n-2)/2) + lower, where
+  lower indexes the digits (rep_ij - r_i + r_j) mod n.  Walking the first
+  rows in order lists each block's smallest member indices, and the merge
+  keeps the global smallest, whatever the worker count.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from multiprocessing import Pool
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -27,8 +43,6 @@ __all__ = [
     "CensusReport",
     "CENSUS_MAX_N",
     "CENSUS_MIN_N",
-    "census_scalar_counts",
-    "enumerate_params",
     "find_witness",
     "index_to_params",
     "params_to_index",
@@ -46,13 +60,23 @@ class CapacityError(RuntimeError):
     """The requested search space exceeds the supported size."""
 
 
+def _lower_width(n: int) -> int:
+    # Counter digits below the first row: (n-1)(n-2)/2.
+    return (n - 1) * (n - 2) // 2
+
+
 def _check_n(n: int) -> None:
     if not isinstance(n, int) or n < CENSUS_MIN_N:
         raise ValueError(f"census needs an integer n >= {CENSUS_MIN_N}, got {n!r}")
     if n > CENSUS_MAX_N:
+        width = _lower_width(n)
+        exponent, fraction = divmod(width * math.log10(n), 1)
+        mantissa = round(10**fraction, 1)
+        if mantissa == 10:
+            mantissa, exponent = 1.0, exponent + 1
         raise CapacityError(
-            f"n={n} gives {n}^{n * (n - 1) // 2} matrices, beyond the "
-            f"supported bound n <= {CENSUS_MAX_N}"
+            f"n={n} needs {n}^{width} ≈ {mantissa}e{int(exponent)} "
+            f"representatives, beyond the supported bound n <= {CENSUS_MAX_N}"
         )
 
 
@@ -109,14 +133,6 @@ def params_to_index(params: QuantumParams) -> int:
     return idx
 
 
-def enumerate_params(n: int) -> Iterator[QuantumParams]:
-    """Every antisymmetric matrix mod n exactly once, in canonical order."""
-    _check_n(n)
-    t = n * (n - 1) // 2
-    for digits in itertools.product(range(n), repeat=t):
-        yield QuantumParams(n, _digits_to_exps(n, digits))
-
-
 # -- vectorized block scanner ---------------------------------------------------
 
 
@@ -155,38 +171,69 @@ def _decode_block(n: int, start: int, stop: int) -> np.ndarray:
     return digits
 
 
+def _predicate_masks(n: int, digits: np.ndarray) -> dict[str, np.ndarray]:
+    """The cy, generic and full predicates, one boolean per digit row."""
+    sums = (digits @ _colsum_matrix(n)) % n
+    tris = (digits @ _triangle_matrix(n)) % n
+    return {
+        "cy": (sums == sums[:, :1]).all(axis=1),
+        "generic": (tris != 0).all(axis=1),
+        "full": (tris == 0).all(axis=1),
+    }
+
+
+def _lift(
+    n: int,
+    lower: np.ndarray,
+    limit: int,
+    row_ok: Callable[[tuple[int, ...]], bool] = lambda r: True,
+) -> list[int]:
+    """The `limit` smallest indices among the twists of the representatives
+    whose lower digits are `lower`, counting only first rows r that pass
+    row_ok.  r[0] = 0 stands for the diagonal, r[i] is e_1(i+1)."""
+    if limit == 0 or len(lower) == 0:
+        return []
+    width = lower.shape[1]
+    weights = n ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    lower_pairs = _pairs(n)[n - 1 :]
+    out: list[int] = []
+    for row in range(n ** (n - 1)):
+        r = [0] * n
+        x = row
+        for k in range(n - 1, 0, -1):
+            x, r[k] = divmod(x, n)
+        if not row_ok(tuple(r)):
+            continue
+        shift = np.array([r[j] - r[i] for i, j in lower_pairs], dtype=np.int64)
+        members = np.sort(((lower + shift) % n) @ weights)[: limit - len(out)]
+        out.extend(row * n**width + int(m) for m in members)
+        if len(out) == limit:
+            break
+    return out
+
+
 def _scan_block(args) -> dict:
     n, start, stop, witness_limit = args
     digits = _decode_block(n, start, stop)
-    sums = (digits @ _colsum_matrix(n)) % n
-    tris = (digits @ _triangle_matrix(n)) % n
-    cy = (sums == sums[:, :1]).all(axis=1)
-    generic = (tris != 0).all(axis=1)
-    full = (tris == 0).all(axis=1)
-    zerosum = (sums == 0).all(axis=1)
-
+    masks = _predicate_masks(n, digits)
+    cy, generic = masks["cy"], masks["generic"]
     both = cy & generic
-    implication_bad = both & ~zerosum
-    dichotomy_bad = cy & ~full & ~generic if n == 4 else np.zeros(0, dtype=bool)
-
-    def first_indices(mask, cap):
-        hits = np.flatnonzero(mask)[:cap]
-        return [start + int(h) for h in hits]
-
+    dichotomy_bad = cy & ~masks["full"] & ~generic if n == 4 else np.zeros(0, dtype=bool)
+    lower = digits[:, n - 1 :]
+    both_lower = lower[both]
     return {
         "scanned": stop - start,
         "cy": int(cy.sum()),
         "generic": int(generic.sum()),
         "both": int(both.sum()),
-        "full": int(full.sum()),
-        "generic_zero_sums": int((generic & zerosum).sum()),
-        "implication_bad": int(implication_bad.sum()),
-        "implication_bad_indices": first_indices(implication_bad, _COUNTEREXAMPLE_CAP),
-        "dichotomy_bad": int(dichotomy_bad.sum()) if n == 4 else 0,
-        "dichotomy_bad_indices": (
-            first_indices(dichotomy_bad, _COUNTEREXAMPLE_CAP) if n == 4 else []
+        "dichotomy_bad": int(dichotomy_bad.sum()),
+        "implication_bad_indices": _lift(
+            n, both_lower, _COUNTEREXAMPLE_CAP, lambda r: sum(r) % n != 0
         ),
-        "witness_indices": first_indices(both, witness_limit),
+        "dichotomy_bad_indices": (
+            _lift(n, lower[dichotomy_bad], _COUNTEREXAMPLE_CAP) if n == 4 else []
+        ),
+        "witness_indices": _lift(n, both_lower, witness_limit),
     }
 
 
@@ -244,11 +291,12 @@ def run_census(
     witness_limit: int = 3,
     block_size: int = 1 << 19,
 ) -> CensusReport:
-    """Scan the whole space, check the claims, and collect witnesses.
+    """Scan one representative per twist class, check the claims, and lift
+    counts, witnesses and counterexamples to the whole space.
 
-    Counts do not depend on worker count or block size: blocks partition the
-    canonical counter range in order, per-block tallies are summed, and
-    witness/counterexample indices are merged smallest-first.
+    The report does not depend on worker count or block size: blocks
+    partition the representatives, per-block tallies are summed, and each
+    block's smallest lifted indices are merged smallest-first.
     """
     _check_n(n)
     if workers < 1:
@@ -257,8 +305,8 @@ def run_census(
         raise ValueError(f"witness_limit must be >= 0, got {witness_limit}")
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
-    total = total_count(n)
-    tasks = [(n, s, e, witness_limit) for s, e in _blocks(total, block_size)]
+    reps = n ** _lower_width(n)
+    tasks = [(n, s, e, witness_limit) for s, e in _blocks(reps, block_size)]
     if workers == 1 or len(tasks) == 1:
         results = [_scan_block(t) for t in tasks]
     else:
@@ -266,93 +314,39 @@ def run_census(
             results = pool.map(_scan_block, tasks)
 
     scanned = sum(r["scanned"] for r in results)
-    if scanned != total:
-        raise RuntimeError(f"scanned {scanned} of {total} matrices")  # partition bug
-    count_cy = sum(r["cy"] for r in results)
-    count_generic = sum(r["generic"] for r in results)
-    both = sum(r["both"] for r in results)
-    generic_zero = sum(r["generic_zero_sums"] for r in results)
-    implication_bad = sum(r["implication_bad"] for r in results)
-    implication_idx = [
-        i for r in results for i in r["implication_bad_indices"]
-    ][:_COUNTEREXAMPLE_CAP]
+    if scanned != reps:
+        raise RuntimeError(f"scanned {scanned} of {reps} representatives")  # partition bug
+
+    def merged(key: str, limit: int) -> list[int]:
+        return sorted(i for r in results for i in r[key])[:limit]
+
+    twists = n ** (n - 1)
+    zero_sum_twists = n ** (n - 2)
+    both_classes = sum(r["both"] for r in results)
+    both = both_classes * twists
+    count_generic = sum(r["generic"] for r in results) * twists
     dichotomy_bad = sum(r["dichotomy_bad"] for r in results)
-    dichotomy_idx = [
-        i for r in results for i in r["dichotomy_bad_indices"]
-    ][:_COUNTEREXAMPLE_CAP]
-    witness_idx = [i for r in results for i in r["witness_indices"]][:witness_limit]
 
     alternative = None
     if n == 5 and both != EXPECTED_GENERIC_CY_N5:
         alternative = {
             "generic_only": count_generic,
-            "generic_and_zero_column_sums": generic_zero,
+            "generic_and_zero_column_sums": both_classes * zero_sum_twists,
         }
     return CensusReport(
         n=n,
-        total=total,
-        count_cy=count_cy,
+        total=total_count(n),
+        count_cy=sum(r["cy"] for r in results) * twists,
         count_generic=count_generic,
         count_generic_and_cy=both,
-        all_generic_cy_have_zero_column_sums=implication_bad == 0,
-        implication_counterexamples=tuple(implication_idx),
+        all_generic_cy_have_zero_column_sums=both_classes * (twists - zero_sum_twists) == 0,
+        implication_counterexamples=tuple(merged("implication_bad_indices", _COUNTEREXAMPLE_CAP)),
         n4_dichotomy_holds=(dichotomy_bad == 0) if n == 4 else None,
-        dichotomy_counterexamples=tuple(dichotomy_idx),
+        dichotomy_counterexamples=tuple(merged("dichotomy_bad_indices", _COUNTEREXAMPLE_CAP)),
         alternative_readings=alternative,
-        witnesses=tuple(index_to_params(n, i) for i in witness_idx),
+        witnesses=tuple(index_to_params(n, i) for i in merged("witness_indices", witness_limit)),
         workers=workers,
     )
-
-
-# -- independent scalar pass (self-oracle) ---------------------------------------
-
-
-def census_scalar_counts(n: int) -> dict:
-    """Reference tallies by direct per-matrix loops.
-
-    Deliberately shares no code with the vectorized scanner: digits come from
-    itertools, column sums and triangles are summed term by term.  Quadratic
-    in n per matrix and unparallelized; n=5 takes tens of seconds.
-    """
-    _check_n(n)
-    pairs = list(_pairs(n))
-    pos = {p: k for k, p in enumerate(pairs)}
-    plus = [[] for _ in range(n)]
-    minus = [[] for _ in range(n)]
-    for k, (i, j) in enumerate(pairs):
-        plus[j].append(k)
-        minus[i].append(k)
-    tri = [
-        (pos[(a, b)], pos[(b, c)], pos[(a, c)])
-        for a, b, c in _triples(n)
-    ]
-    total = cy_count = generic_count = both_count = 0
-    for u in itertools.product(range(n), repeat=len(pairs)):
-        total += 1
-        generic = True
-        for ta, tb, tc in tri:
-            if (u[ta] + u[tb] - u[tc]) % n == 0:
-                generic = False
-                break
-        s0 = (sum(u[k] for k in plus[0]) - sum(u[k] for k in minus[0])) % n
-        is_cy = True
-        for j in range(1, n):
-            sj = (sum(u[k] for k in plus[j]) - sum(u[k] for k in minus[j])) % n
-            if sj != s0:
-                is_cy = False
-                break
-        if is_cy:
-            cy_count += 1
-        if generic:
-            generic_count += 1
-            if is_cy:
-                both_count += 1
-    return {
-        "total": total,
-        "count_cy": cy_count,
-        "count_generic": generic_count,
-        "count_generic_and_cy": both_count,
-    }
 
 
 # -- witness search ----------------------------------------------------------------
@@ -375,7 +369,9 @@ def find_witness(n: int, predicates: Sequence[str]) -> Optional[QuantumParams]:
 
     Known predicates: cy, generic, full (alias twist-realizable; the cocycle
     condition and the full face complex coincide).  Returns None when the
-    space contains no match.
+    space contains no match.  The predicates are constant on twist classes
+    and each class's first member is its zero-first-row representative, so
+    only the representatives are scanned.
     """
     _check_n(n)
     wanted = set()
@@ -388,20 +384,9 @@ def find_witness(n: int, predicates: Sequence[str]) -> Optional[QuantumParams]:
         wanted.add(key)
     if not wanted:
         raise ValueError("at least one predicate required")
-    total = total_count(n)
-    for start, stop in _blocks(total, 1 << 19):
-        digits = _decode_block(n, start, stop)
-        mask = np.ones(stop - start, dtype=bool)
-        if "cy" in wanted:
-            sums = (digits @ _colsum_matrix(n)) % n
-            mask &= (sums == sums[:, :1]).all(axis=1)
-        if "generic" in wanted or "full" in wanted:
-            tris = (digits @ _triangle_matrix(n)) % n
-            if "generic" in wanted:
-                mask &= (tris != 0).all(axis=1)
-            if "full" in wanted:
-                mask &= (tris == 0).all(axis=1)
-        hits = np.flatnonzero(mask)
+    for start, stop in _blocks(n ** _lower_width(n), 1 << 19):
+        masks = _predicate_masks(n, _decode_block(n, start, stop))
+        hits = np.flatnonzero(np.logical_and.reduce([masks[p] for p in wanted]))
         if hits.size:
             return index_to_params(n, start + int(hits[0]))
     return None

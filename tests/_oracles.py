@@ -2,14 +2,20 @@
 
 Everything here is written the slow, obvious way, on purpose: adjacent-swap
 bubble sorts, full word expansion, direct subset sweeps, literal root-of-unity
-products.  None of it shares code with the package under test.
+products, and a census sweep over every matrix with no twist quotient.  None
+of it shares code with the package under test; `enumerate_params` only wraps
+its matrices with the package's validator.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
 from math import comb
 
+import numpy as np
+
 from qfermat.cyclo import CycloField
+from qfermat.qalgebra import validate_params
 
 
 def bubble_normal_order(exps, word):
@@ -176,22 +182,47 @@ def series_coefficient(n, degree):
     return lead
 
 
+def exps_from_digits(n, digits):
+    """The antisymmetric matrix whose strict upper triangle, read row-major,
+    is `digits`: the census counter's reading of an index."""
+    exps = [[0] * n for _ in range(n)]
+    for (i, j), e in zip(combinations(range(n), 2), digits):
+        exps[i][j] = e
+        exps[j][i] = (-e) % n
+    return exps
+
+
+def index_of(exps):
+    """Canonical census index: the upper triangle, row-major, as base-n digits."""
+    n = len(exps)
+    index = 0
+    for i, j in combinations(range(n), 2):
+        index = index * n + exps[i][j] % n
+    return index
+
+
+def enumerate_params(n):
+    """Every antisymmetric matrix mod n exactly once, in canonical order."""
+    for digits in product(range(n), repeat=n * (n - 1) // 2):
+        yield validate_params(n, exps_from_digits(n, digits))
+
+
+def column_sums(exps):
+    """Column sums mod n, added up entry by entry."""
+    n = len(exps)
+    return [sum(exps[i][j] for i in range(n)) % n for j in range(n)]
+
+
 def census_counts_bruteforce(n):
     """Naive full sweep for small n: literal cyclotomic column products for
     the CY side, literal triangle sweep for genericity."""
-    from itertools import product
-
-    pairs = list(combinations(range(n), 2))
     total = 0
     count_cy = 0
     count_generic = 0
     count_both = 0
     count_both_zero_sums = 0
-    for digits in product(range(n), repeat=len(pairs)):
-        exps = [[0] * n for _ in range(n)]
-        for (i, j), e in zip(pairs, digits):
-            exps[i][j] = e
-            exps[j][i] = (-e) % n
+    for digits in product(range(n), repeat=n * (n - 1) // 2):
+        exps = exps_from_digits(n, digits)
         total += 1
         cy = column_products_equal(exps)
         gen = generic_bruteforce(exps)
@@ -210,6 +241,132 @@ def census_counts_bruteforce(n):
         "count_generic_and_cy": count_both,
         "generic_and_zero_column_sums": count_both_zero_sums,
     }
+
+
+def census_scalar_counts(n):
+    """Census tallies by direct per-matrix loops over integer digits: column
+    sums and triangles are summed term by term.  n = 5 takes tens of seconds."""
+    pairs = list(combinations(range(n), 2))
+    pos = {p: k for k, p in enumerate(pairs)}
+    plus = [[] for _ in range(n)]
+    minus = [[] for _ in range(n)]
+    for k, (i, j) in enumerate(pairs):
+        plus[j].append(k)
+        minus[i].append(k)
+    tri = [(pos[(a, b)], pos[(b, c)], pos[(a, c)]) for a, b, c in combinations(range(n), 3)]
+    total = cy_count = generic_count = both_count = 0
+    for u in product(range(n), repeat=len(pairs)):
+        total += 1
+        generic = True
+        for ta, tb, tc in tri:
+            if (u[ta] + u[tb] - u[tc]) % n == 0:
+                generic = False
+                break
+        s0 = (sum(u[k] for k in plus[0]) - sum(u[k] for k in minus[0])) % n
+        is_cy = True
+        for j in range(1, n):
+            sj = (sum(u[k] for k in plus[j]) - sum(u[k] for k in minus[j])) % n
+            if sj != s0:
+                is_cy = False
+                break
+        if is_cy:
+            cy_count += 1
+        if generic:
+            generic_count += 1
+            if is_cy:
+                both_count += 1
+    return {
+        "total": total,
+        "count_cy": cy_count,
+        "count_generic": generic_count,
+        "count_generic_and_cy": both_count,
+    }
+
+
+def raw_census_json(n, witness_limit):
+    """The census report's JSON dict from a numpy sweep over all
+    n^(n(n-1)/2) matrices, with no twist quotient: every matrix is decoded,
+    tallied and listed in index order.  n = 5 takes a few seconds; sweeps are
+    cached per n, and witness limits up to 40 share one."""
+    tally, first = _raw_sweep(n, max(witness_limit, 40))
+    t = n * (n - 1) // 2
+
+    def digits_of(index):
+        out = []
+        for _ in range(t):
+            index, d = divmod(index, n)
+            out.append(d)
+        return out[::-1]
+
+    both = tally["both"]
+    return {
+        "n": n,
+        "total": n**t,
+        "count_cy": tally["cy"],
+        "count_generic": tally["generic"],
+        "count_generic_and_cy": both,
+        "all_generic_cy_have_zero_column_sums": tally["implication_bad"] == 0,
+        "implication_counterexamples": first["implication_bad"][:10],
+        "n4_dichotomy_holds": tally["dichotomy_bad"] == 0 if n == 4 else None,
+        "dichotomy_counterexamples": first["dichotomy_bad"][:10] if n == 4 else [],
+        "alternative_readings": (
+            {"generic_only": tally["generic"], "generic_and_zero_column_sums": tally["generic_zero"]}
+            if n == 5 and both != 3000
+            else None
+        ),
+        "witnesses": [
+            {"n": n, "exponents": exps_from_digits(n, digits_of(i))}
+            for i in first["both"][:witness_limit]
+        ],
+    }
+
+
+@lru_cache(maxsize=None)
+def _raw_sweep(n, keep):
+    """Tallies over every matrix, and the first `keep` indices of each
+    listed kind."""
+    pairs = list(combinations(range(n), 2))
+    pos = {p: k for k, p in enumerate(pairs)}
+    t = len(pairs)
+    colsum = np.zeros((t, n), dtype=np.int64)
+    for k, (i, j) in enumerate(pairs):
+        colsum[k, j] += 1
+        colsum[k, i] -= 1
+    triangles = np.zeros((t, comb(n, 3)), dtype=np.int64)
+    for col, (a, b, c) in enumerate(combinations(range(n), 3)):
+        triangles[pos[(a, b)], col] += 1
+        triangles[pos[(b, c)], col] += 1
+        triangles[pos[(a, c)], col] -= 1
+
+    total = n**t
+    tally = {}
+    first = {"both": [], "implication_bad": [], "dichotomy_bad": []}
+    block = 1 << 19
+    for start in range(0, total, block):
+        x = np.arange(start, min(start + block, total), dtype=np.int64)
+        digits = np.empty((len(x), t), dtype=np.int64)
+        for k in range(t - 1, -1, -1):
+            digits[:, k] = x % n
+            x //= n
+        sums = (digits @ colsum) % n
+        tris = (digits @ triangles) % n
+        cy = (sums == sums[:, :1]).all(axis=1)
+        generic = (tris != 0).all(axis=1)
+        full = (tris == 0).all(axis=1)
+        zero = (sums == 0).all(axis=1)
+        masks = {
+            "cy": cy,
+            "generic": generic,
+            "both": cy & generic,
+            "generic_zero": generic & zero,
+            "implication_bad": cy & generic & ~zero,
+            "dichotomy_bad": cy & ~full & ~generic,
+        }
+        for key, mask in masks.items():
+            tally[key] = tally.get(key, 0) + int(mask.sum())
+        for key, hits in first.items():
+            hits.extend(start + int(h) for h in np.flatnonzero(masks[key])[:keep])
+    return tally, {key: hits[:keep] for key, hits in first.items()}
 
 
 def laurent_commutation(exps, u, v):

@@ -25,7 +25,9 @@ def census4():
 
 @pytest.fixture(scope="session")
 def census5():
-    """The full 9,765,625-matrix sweep, shared across the whole run."""
+    """The n = 5 census, shared across the whole run: 15,625 twist-class
+    representatives scanned, counts and indices lifted to all 9,765,625
+    matrices."""
     return run_census(5, workers=2)
 
 

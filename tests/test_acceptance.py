@@ -13,7 +13,7 @@ import random
 import time
 from math import comb
 
-from qfermat.census import census_scalar_counts, index_to_params, run_census
+from qfermat.census import run_census
 from qfermat.cyclo import CycloField
 from qfermat.expr import lower, parse_poly, print_poly
 from qfermat.hilb1 import euler_number_n4, face_complex, hilb1, is_generic
@@ -32,7 +32,6 @@ from qfermat.qalgebra import (
     multiply,
     normal_order,
     product_of_generators,
-    validate_params,
 )
 
 import _oracles
@@ -44,18 +43,6 @@ def record(number, ok, detail):
     ACCEPTANCE_LINES.append(line)
     print(line)
     return line
-
-
-def exhaustive_params(n):
-    from itertools import product as iproduct
-
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for digits in iproduct(range(n), repeat=len(pairs)):
-        rows = [[0] * n for _ in range(n)]
-        for (i, j), e in zip(pairs, digits):
-            rows[i][j] = e
-            rows[j][i] = (-e) % n
-        yield validate_params(n, rows)
 
 
 def test_criterion_1_five_generator_census(census5):
@@ -166,7 +153,7 @@ def test_criterion_4_twist_compatibility():
 def test_criterion_5_frobenius_oracle():
     ok = True
     checked = 0
-    for p in exhaustive_params(3):
+    for p in _oracles.enumerate_params(3):
         ok = ok and compare_frobenius(p).agree_mod_scalar
         checked += 1
     rng = random.Random(0xF0B)
@@ -195,7 +182,7 @@ def test_criterion_6_centrality_laws():
 
     product_checked = 0
     for n in (3, 4):
-        for p in exhaustive_params(n):
+        for p in _oracles.enumerate_params(n):
             want = all(s == 0 for s in column_sums(p))
             ok = ok and is_central(product_of_generators(p)) == want
             product_checked += 1
@@ -290,7 +277,7 @@ def test_criterion_8_property_suites():
             other.count_generic_and_cy,
             other.witnesses,
         ) == (base.count_cy, base.count_generic, base.count_generic_and_cy, base.witnesses)
-    scalar = census_scalar_counts(3)
+    scalar = _oracles.census_scalar_counts(3)
     ok = ok and scalar["count_generic_and_cy"] == base.count_generic_and_cy
 
     record(

@@ -1,5 +1,10 @@
 """Exhaustive enumeration: canonical order, tallies, witnesses, oracles."""
 
+import json
+import random
+from itertools import combinations, product
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,8 +14,7 @@ from qfermat.census import (
     CENSUS_MIN_N,
     CapacityError,
     EXPECTED_GENERIC_CY_N5,
-    census_scalar_counts,
-    enumerate_params,
+    _lift,
     find_witness,
     index_to_params,
     params_to_index,
@@ -42,7 +46,7 @@ def test_index_round_trip(n, data):
 
 
 def test_enumeration_follows_the_index_order():
-    stream = enumerate_params(3)
+    stream = _oracles.enumerate_params(3)
     for expected_index in range(27):
         p = next(stream)
         assert params_to_index(p) == expected_index
@@ -98,7 +102,7 @@ def test_tallies_match_naive_cyclotomic_sweep(census3, census4):
 
 def test_tallies_match_the_scalar_second_pass(census3, census4):
     for report, n in ((census3, 3), (census4, 4)):
-        scalar = census_scalar_counts(n)
+        scalar = _oracles.census_scalar_counts(n)
         assert scalar["total"] == report.total
         assert scalar["count_cy"] == report.count_cy
         assert scalar["count_generic"] == report.count_generic
@@ -106,16 +110,73 @@ def test_tallies_match_the_scalar_second_pass(census3, census4):
 
 
 def test_tallies_are_worker_count_invariant():
-    single = run_census(4, workers=1)
-    double = run_census(4, workers=2)
-    eight = run_census(4, workers=8)
-    for other in (double, eight):
-        assert other.total == single.total
-        assert other.count_cy == single.count_cy
-        assert other.count_generic == single.count_generic
-        assert other.count_generic_and_cy == single.count_generic_and_cy
-        assert other.implication_counterexamples == single.implication_counterexamples
-        assert other.witnesses == single.witnesses
+    """n = 5 has 15,625 representatives: 16 blocks of 1024, so the merge
+    sees many blocks and workers > 1 start a pool.  The default block size
+    scans them in one block."""
+    one_block = json.dumps(run_census(5).to_json_dict())
+    for workers in (1, 2, 8):
+        other = run_census(5, workers=workers, block_size=1024).to_json_dict()
+        assert json.dumps(other) == one_block
+
+
+@pytest.mark.parametrize(
+    "n, witness_limit", [(3, 0), (3, 3), (4, 3), (4, 7), (4, 30), (5, 3), (5, 40)]
+)
+def test_report_matches_the_raw_sweep(n, witness_limit):
+    """The twist-quotient report, lifted from the representatives, is byte
+    for byte the report of a sweep over every matrix."""
+    report = run_census(n, witness_limit=witness_limit).to_json_dict()
+    assert json.dumps(report) == json.dumps(_oracles.raw_census_json(n, witness_limit))
+
+
+def _predicates(exps, sums):
+    return (
+        len(set(sums)) == 1,
+        _oracles.generic_bruteforce(exps),
+        _oracles.admissible_bruteforce(exps, range(1, len(exps) + 1)),
+    )
+
+
+def test_twist_classes_lift_exactly_at_six_generators():
+    """Member by member, on a seeded sample of n = 6 representatives (index 0,
+    random ones, and CY ones built by solving for the last column): cy,
+    generic and full are constant on each class of 6^5 twists, a CY class
+    has zero column sums on exactly 1/6 of it, the representative has the
+    smallest index, and the scanner's lift lists exactly the class."""
+    n = 6
+    rng = random.Random(20140915)
+    width = (n - 1) * (n - 2) // 2
+    samples = [_oracles.exps_from_digits(n, [0] * (n * (n - 1) // 2))]
+    for k in range(19):
+        exps = _oracles.exps_from_digits(
+            n, [0] * (n - 1) + [rng.randrange(n) for _ in range(width)]
+        )
+        if k % 2:
+            for i, s in enumerate(_oracles.column_sums(exps)[1 : n - 1], start=1):
+                exps[i][n - 1] = (exps[i][n - 1] + s) % n
+                exps[n - 1][i] = (-exps[i][n - 1]) % n
+        samples.append(exps)
+    seen = {_predicates(rep, _oracles.column_sums(rep)) for rep in samples}
+    assert all({p[k] for p in seen} == {True, False} for k in range(3))
+
+    for rep in samples:
+        expected = _predicates(rep, _oracles.column_sums(rep))
+        indices = []
+        zero_sums = []
+        for r in product(range(n), repeat=n - 1):
+            d = (0,) + tuple(-x for x in r)
+            member = [[(e + d[i] - d[j]) % n for j, e in enumerate(row)] for i, row in enumerate(rep)]
+            sums = _oracles.column_sums(member)
+            assert _predicates(member, sums) == expected
+            indices.append(_oracles.index_of(member))
+            zero_sums.append(not any(sums))
+        assert min(indices) == _oracles.index_of(rep)
+        assert sum(zero_sums) == (n ** (n - 2) if expected[0] else 0)
+        lower = np.array([[rep[i][j] for i, j in combinations(range(1, n), 2)]])
+        assert _lift(n, lower, n ** (n - 1)) == sorted(indices)
+        if expected[0]:
+            nonzero = sorted(i for i, z in zip(indices, zero_sums) if not z)
+            assert _lift(n, lower, n ** (n - 1), lambda r: sum(r) % n != 0) == nonzero
 
 
 def test_json_and_csv_round_out_the_report(census4):
@@ -249,7 +310,9 @@ def test_census_bounds():
     assert CENSUS_MIN_N == 3 and CENSUS_MAX_N == 6
     with pytest.raises(CapacityError):
         run_census(7)
+    with pytest.raises(CapacityError, match=r"n=7 needs 7\^15 ≈ 4\.7e12 representatives"):
+        find_witness(7, ["cy"])
     with pytest.raises(CapacityError):
-        next(enumerate_params(8))
+        total_count(8)
     with pytest.raises(ValueError):
         run_census(2)

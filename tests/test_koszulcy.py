@@ -1,7 +1,7 @@
 """CY criterion, twisted exterior algebra, Frobenius scalars, patches."""
 
 import random
-from itertools import combinations, product as iproduct
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -26,16 +26,6 @@ from qfermat.qalgebra import commutative_params, from_twist, validate_params
 
 import _oracles
 from _util import params_st, random_params
-
-
-def exhaustive_params(n):
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for digits in iproduct(range(n), repeat=len(pairs)):
-        rows = [[0] * n for _ in range(n)]
-        for (i, j), e in zip(pairs, digits):
-            rows[i][j] = e
-            rows[j][i] = (-e) % n
-        yield validate_params(n, rows)
 
 
 # -------------------------------------------------------------- CY criterion
@@ -176,7 +166,7 @@ def test_frobenius_commutative_five_generator_anchor():
 
 
 def test_frobenius_exhaustive_small_case_matches_hand_formula():
-    for p in exhaustive_params(3):
+    for p in _oracles.enumerate_params(3):
         brute = frobenius_bruteforce(p)
         for j in range(1, 4):
             assert brute[j - 1] == _oracles.frobenius_scalar_prediction(p.exps, j)
@@ -229,7 +219,7 @@ def test_single_relation_matrix_is_not_realizable():
 
 
 def test_twist_realizability_matches_bruteforce_search():
-    for p in exhaustive_params(3):
+    for p in _oracles.enumerate_params(3):
         got = is_twist_realizable(p)
         want = _oracles.twist_solution_bruteforce(p.exps)
         assert (got is None) == (want is None)
@@ -245,7 +235,7 @@ def test_twist_realizability_matches_bruteforce_search():
 
 def test_realizability_coincides_with_full_face_complex():
     for n in (3, 4):
-        for p in exhaustive_params(n):
+        for p in _oracles.enumerate_params(n):
             assert (is_twist_realizable(p) is not None) == face_complex(p).is_full
     rng = random.Random(6)
     for n in (5, 6):
