@@ -10,9 +10,11 @@ constant on twist classes.  Each class of n^(n-1) matrices has exactly one
 member with a zero first row, and it is the member with the smallest index.
 The first row holds the most significant counter digits, so these
 representatives are exactly the index prefix 0 .. n^((n-1)(n-2)/2) - 1, and
-only that prefix is scanned.  The scanner vectorizes the predicates over
-blocks of it with numpy; blocks partition the prefix, so parallel workers own
-disjoint sub-ranges.
+only that prefix is scanned.  The scanner (``_scan``) vectorizes the
+predicates over blocks of it with numpy; blocks partition the prefix, so
+parallel workers own disjoint sub-ranges.  Only the scanning entry points
+import ``_scan``, and they do so before any worker is started, so importing
+this module, the package or its CLI does not load numpy.
 
 Results are lifted back to all matrices exactly:
 
@@ -32,9 +34,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from multiprocessing import Pool
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import Optional, Sequence
 
 from .qalgebra import QuantumParams
 
@@ -133,110 +133,6 @@ def params_to_index(params: QuantumParams) -> int:
     return idx
 
 
-# -- vectorized block scanner ---------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _colsum_matrix(n: int) -> np.ndarray:
-    # Column sums from upper-triangle digits: s_j = sum_(i<j) e_ij - sum_(k>j) e_jk.
-    t = n * (n - 1) // 2
-    m = np.zeros((t, n), dtype=np.int64)
-    for idx, (i, j) in enumerate(_pairs(n)):
-        m[idx, j] += 1
-        m[idx, i] -= 1
-    return m
-
-
-@lru_cache(maxsize=None)
-def _triangle_matrix(n: int) -> np.ndarray:
-    # Triangle exponents from digits: t(a,b,c) = e_ab + e_bc - e_ac.
-    pairs = {p: k for k, p in enumerate(_pairs(n))}
-    trs = _triples(n)
-    t = n * (n - 1) // 2
-    m = np.zeros((t, len(trs)), dtype=np.int64)
-    for col, (a, b, c) in enumerate(trs):
-        m[pairs[(a, b)], col] += 1
-        m[pairs[(b, c)], col] += 1
-        m[pairs[(a, c)], col] -= 1
-    return m
-
-
-def _decode_block(n: int, start: int, stop: int) -> np.ndarray:
-    t = n * (n - 1) // 2
-    x = np.arange(start, stop, dtype=np.int64)
-    digits = np.empty((stop - start, t), dtype=np.int64)
-    for k in range(t - 1, -1, -1):
-        digits[:, k] = x % n
-        x //= n
-    return digits
-
-
-def _predicate_masks(n: int, digits: np.ndarray) -> dict[str, np.ndarray]:
-    """The cy, generic and full predicates, one boolean per digit row."""
-    sums = (digits @ _colsum_matrix(n)) % n
-    tris = (digits @ _triangle_matrix(n)) % n
-    return {
-        "cy": (sums == sums[:, :1]).all(axis=1),
-        "generic": (tris != 0).all(axis=1),
-        "full": (tris == 0).all(axis=1),
-    }
-
-
-def _lift(
-    n: int,
-    lower: np.ndarray,
-    limit: int,
-    row_ok: Callable[[tuple[int, ...]], bool] = lambda r: True,
-) -> list[int]:
-    """The `limit` smallest indices among the twists of the representatives
-    whose lower digits are `lower`, counting only first rows r that pass
-    row_ok.  r[0] = 0 stands for the diagonal, r[i] is e_1(i+1)."""
-    if limit == 0 or len(lower) == 0:
-        return []
-    width = lower.shape[1]
-    weights = n ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    lower_pairs = _pairs(n)[n - 1 :]
-    out: list[int] = []
-    for row in range(n ** (n - 1)):
-        r = [0] * n
-        x = row
-        for k in range(n - 1, 0, -1):
-            x, r[k] = divmod(x, n)
-        if not row_ok(tuple(r)):
-            continue
-        shift = np.array([r[j] - r[i] for i, j in lower_pairs], dtype=np.int64)
-        members = np.sort(((lower + shift) % n) @ weights)[: limit - len(out)]
-        out.extend(row * n**width + int(m) for m in members)
-        if len(out) == limit:
-            break
-    return out
-
-
-def _scan_block(args) -> dict:
-    n, start, stop, witness_limit = args
-    digits = _decode_block(n, start, stop)
-    masks = _predicate_masks(n, digits)
-    cy, generic = masks["cy"], masks["generic"]
-    both = cy & generic
-    dichotomy_bad = cy & ~masks["full"] & ~generic if n == 4 else np.zeros(0, dtype=bool)
-    lower = digits[:, n - 1 :]
-    both_lower = lower[both]
-    return {
-        "scanned": stop - start,
-        "cy": int(cy.sum()),
-        "generic": int(generic.sum()),
-        "both": int(both.sum()),
-        "dichotomy_bad": int(dichotomy_bad.sum()),
-        "implication_bad_indices": _lift(
-            n, both_lower, _COUNTEREXAMPLE_CAP, lambda r: sum(r) % n != 0
-        ),
-        "dichotomy_bad_indices": (
-            _lift(n, lower[dichotomy_bad], _COUNTEREXAMPLE_CAP) if n == 4 else []
-        ),
-        "witness_indices": _lift(n, both_lower, witness_limit),
-    }
-
-
 def _blocks(total: int, block_size: int) -> list[tuple[int, int]]:
     return [(s, min(s + block_size, total)) for s in range(0, total, block_size)]
 
@@ -305,13 +201,15 @@ def run_census(
         raise ValueError(f"witness_limit must be >= 0, got {witness_limit}")
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
+    from . import _scan
+
     reps = n ** _lower_width(n)
     tasks = [(n, s, e, witness_limit) for s, e in _blocks(reps, block_size)]
     if workers == 1 or len(tasks) == 1:
-        results = [_scan_block(t) for t in tasks]
+        results = [_scan.scan_block(t) for t in tasks]
     else:
         with Pool(processes=workers) as pool:
-            results = pool.map(_scan_block, tasks)
+            results = pool.map(_scan.scan_block, tasks)
 
     scanned = sum(r["scanned"] for r in results)
     if scanned != reps:
@@ -384,9 +282,10 @@ def find_witness(n: int, predicates: Sequence[str]) -> Optional[QuantumParams]:
         wanted.add(key)
     if not wanted:
         raise ValueError("at least one predicate required")
+    from . import _scan
+
     for start, stop in _blocks(n ** _lower_width(n), 1 << 19):
-        masks = _predicate_masks(n, _decode_block(n, start, stop))
-        hits = np.flatnonzero(np.logical_and.reduce([masks[p] for p in wanted]))
-        if hits.size:
-            return index_to_params(n, start + int(hits[0]))
+        hit = _scan.first_match(n, start, stop, wanted)
+        if hit is not None:
+            return index_to_params(n, hit)
     return None

@@ -2,7 +2,9 @@
 
 Exit codes: 0 = computed and any decided predicate is true; 1 = computed but
 the predicate is false (e.g. not Calabi-Yau); 2 = input error; 3 = capacity
-error.  All diagnostics go to standard error; reports go to standard output.
+error; 4 = internal error (a failed self-check such as the Frobenius pairing
+verification or the census partition count).  All diagnostics go to standard
+error; reports go to standard output.
 JSON output is byte-deterministic for a fixed input (and worker count 1).
 """
 
@@ -29,6 +31,7 @@ EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass(frozen=True)
@@ -249,6 +252,11 @@ def run(inv: Invocation) -> int:
     except CapacityError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CAPACITY
+    except RuntimeError as exc:
+        # Internal self-checks (FrobeniusPairingError, the census partition
+        # count) raise RuntimeError; they must not read as "predicate false".
+        sys.stderr.write(f"error: internal: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
     except (
         ParamsError,
         ParamsDocError,

@@ -5,6 +5,11 @@ power basis 1, zeta, ..., zeta^(phi(m)-1), reduced modulo the m-th cyclotomic
 polynomial.  Reduction keeps representations unique, so equality and zero
 tests are exact coordinate comparisons.  No floating point enters any
 computation; ``complex_embedding`` exists for display only.
+
+The roots of unity that ``CycloField.zeta`` interns also carry their exponent.
+Products, quotients, inverses and powers among them are additions of
+exponents mod m, and a general element times a root is a cyclic shift of its
+coordinates followed by one reduction pass (``Cyclotomic.mul_zeta``).
 """
 
 from __future__ import annotations
@@ -106,19 +111,18 @@ class CycloField:
 
     def _build_powtable(self) -> tuple[tuple[int, ...], ...]:
         # Row k holds the basis coordinates of t^(degree+k); products of two
-        # reduced elements need rows up to t^(2*degree-2).
+        # reduced elements need rows up to t^(2*degree-2), and shifts by a
+        # root of unity rows up to t^(m-1).
         deg = self.degree
         base = tuple(-c for c in self.modulus[:deg])
-        rows = []
-        if deg >= 1:
-            rows.append(base)
-            for _ in range(deg - 2):
-                prev = rows[-1]
-                top = prev[deg - 1]
-                row = [top * base[0]]
-                for i in range(1, deg):
-                    row.append(prev[i - 1] + top * base[i])
-                rows.append(tuple(row))
+        rows = [base]
+        for _ in range(max(deg - 1, self.conductor - deg) - 1):
+            prev = rows[-1]
+            top = prev[deg - 1]
+            row = [top * base[0]]
+            for i in range(1, deg):
+                row.append(prev[i - 1] + top * base[i])
+            rows.append(tuple(row))
         return tuple(rows)
 
     # -- constructors -------------------------------------------------------
@@ -127,7 +131,7 @@ class CycloField:
         return Cyclotomic(self, (_ZERO,) * self.degree)
 
     def one(self) -> "Cyclotomic":
-        return self.from_rational(_ONE)
+        return self.zeta(0)
 
     def from_rational(self, value: Scalar) -> "Cyclotomic":
         coords = [_ZERO] * self.degree
@@ -144,7 +148,11 @@ class CycloField:
         return Cyclotomic(self, coords)
 
     def zeta(self, exponent: int = 1) -> "Cyclotomic":
-        """zeta_m raised to the given exponent (exponent taken mod m)."""
+        """zeta_m raised to the given exponent (exponent taken mod m).
+
+        The result is interned and tagged with its exponent, which routes
+        arithmetic with it through the root-of-unity fast paths.
+        """
         e = exponent % self.conductor
         cached = self._roots.get(e)
         if cached is not None:
@@ -152,13 +160,9 @@ class CycloField:
         if e < self.degree:
             coords = [_ZERO] * self.degree
             coords[e] = _ONE
-            val = Cyclotomic(self, tuple(coords))
-        elif self.degree == 1:
-            # linear minimal polynomial: the root itself is rational
-            root = -Fraction(cyclotomic_polynomial(self.conductor)[0])
-            val = self.from_rational(root ** e)
         else:
-            val = self.zeta(1) ** e
+            coords = [Fraction(c) for c in self._powtable[e - self.degree]]
+        val = Cyclotomic(self, tuple(coords), e)
         self._roots[e] = val
         return val
 
@@ -207,13 +211,24 @@ def _poly_divmod(a: list[Fraction], b: list[Fraction]):
 
 
 class Cyclotomic:
-    """An element of a :class:`CycloField`, stored in reduced power-basis form."""
+    """An element of a :class:`CycloField`, stored in reduced power-basis form.
 
-    __slots__ = ("field", "coords")
+    ``root_exp`` is the exponent k when the element is the interned zeta_m^k,
+    and None otherwise.  An untagged element that happens to equal a root
+    takes the general arithmetic paths and gives the same results.
+    """
 
-    def __init__(self, field: CycloField, coords: tuple[Fraction, ...]):
+    __slots__ = ("field", "coords", "root_exp")
+
+    def __init__(
+        self,
+        field: CycloField,
+        coords: tuple[Fraction, ...],
+        root_exp: int | None = None,
+    ):
         self.field = field
         self.coords = coords
+        self.root_exp = root_exp
 
     # -- helpers -------------------------------------------------------------
 
@@ -272,12 +287,45 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o.root_exp is not None:
+            return self.mul_zeta(o.root_exp)
+        if self.root_exp is not None:
+            return o.mul_zeta(self.root_exp)
         return Cyclotomic(self.field, self.field._mul_coords(self.coords, o.coords))
 
     __rmul__ = __mul__
 
+    def mul_zeta(self, k: int) -> "Cyclotomic":
+        """self * zeta_m^k: a cyclic shift in Q[t]/(t^m - 1), then one
+        reduction pass that rewrites each t^j with j >= degree."""
+        field = self.field
+        if self.root_exp is not None:
+            return field.zeta(self.root_exp + k)
+        m, deg = field.conductor, field.degree
+        k %= m
+        if not k:
+            return self
+        res = [_ZERO] * deg
+        high = []
+        for i, c in enumerate(self.coords):
+            if c:
+                j = (i + k) % m
+                if j < deg:
+                    res[j] = c
+                else:
+                    high.append((j - deg, c))
+        table = field._powtable
+        for row, c in high:
+            for i, r in enumerate(table[row]):
+                if r:
+                    res[i] += c * r
+        return Cyclotomic(field, tuple(res))
+
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse via the extended Euclidean algorithm; the
+        inverse of an interned root is the root with the negated exponent."""
+        if self.root_exp is not None:
+            return self.field.zeta(-self.root_exp)
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         phi = [Fraction(c) for c in self.field.modulus]
@@ -311,17 +359,23 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o.root_exp is not None:
+            return self.mul_zeta(-o.root_exp)
         return self * o.inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.root_exp is not None:
+            return o.mul_zeta(-self.root_exp)
         return o * self.inverse()
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
+        if self.root_exp is not None:
+            return self.field.zeta(self.root_exp * exponent)
         base = self
         if exponent < 0:
             base = self.inverse()
@@ -358,6 +412,8 @@ class Cyclotomic:
                 f"no embedding of conductor {m} into conductor {big}"
             )
         step = big // m
+        if self.root_exp is not None:
+            return target.zeta(step * self.root_exp)
         out = target.zero()
         for i, c in enumerate(self.coords):
             if c:

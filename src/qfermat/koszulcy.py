@@ -103,9 +103,10 @@ def cy_criterion(params: QuantumParams) -> CyReport:
 # -- twisted exterior dual ------------------------------------------------------
 
 
-def _blade_product(params: QuantumParams, field: CycloField, s: int, t: int):
+def _blade_exponent(params: QuantumParams, s: int, t: int):
     # Product y_S * y_T of basis blades given as bitmasks (bit i = generator i+1).
-    # Returns (mask, coeff) or None when the blades share a generator.
+    # Returns (mask, e) with y_S y_T = zeta_(2n)^e y_(S|T), or None when the
+    # blades share a generator.
     # Each crossing of a in S past b in T with a > b contributes -zeta_n^(e_ba):
     # from q_ba y_b y_a + y_a y_b = 0 we get y_a y_b = -q_ba y_b y_a.
     if s & t:
@@ -128,9 +129,8 @@ def _blade_product(params: QuantumParams, field: CycloField, s: int, t: int):
                     ph += row[a]
                 hi >>= 1
                 a += 1
-    # conductor is 2n: -zeta_n^p = zeta_(2n)^(n + 2p)
-    coeff = field.zeta((n * inv + 2 * ph) % (2 * n))
-    return s | t, coeff
+    # -zeta_n^p = zeta_(2n)^(n + 2p)
+    return s | t, (n * inv + 2 * ph) % (2 * n)
 
 
 class ExtElement:
@@ -249,14 +249,16 @@ class ExtElement:
         if not isinstance(other, ExtElement):
             return NotImplemented
         self._check(other)
+        # blade exponents count 2n-th roots; the field may be a larger one
+        step = self.field.conductor // (2 * self.params.n)
         out: dict = {}
         for s, cs in self._terms.items():
             for t, ct in other._terms.items():
-                r = _blade_product(self.params, self.field, s, t)
+                r = _blade_exponent(self.params, s, t)
                 if r is None:
                     continue
-                mask, coeff = r
-                val = cs * ct * coeff
+                mask, e = r
+                val = cs * ct * self.field.zeta(step * e)
                 prev = out.get(mask)
                 acc = val if prev is None else prev + val
                 if acc.is_zero():
@@ -308,46 +310,50 @@ def _mask_to_subset(mask: int) -> tuple[int, ...]:
 def frobenius_bruteforce(params: QuantumParams) -> tuple[Cyclotomic, ...]:
     """Diagonal automorphism scalars of the dual Frobenius pairing, by search.
 
-    For each j the scalar is fixed by pairing y_j against the complementary
-    blade; the candidate is then verified on every pair of blades of
-    complementary degree (a b = phi(b) a in the top component).  A
-    verification failure raises
+    Every nonzero blade product is a power of zeta_2n times a blade, so the
+    search runs on exponents mod 2n.  For each j the scalar is fixed by
+    pairing y_j against the complementary blade; the candidate is then
+    verified on every pair of blades of complementary degree (a b = phi(b) a
+    in the top component).  A verification failure raises
     FrobeniusPairingError, since the pairing identity is forced by the
     structure; it would indicate an implementation bug, not bad input.
     """
     n = params.n
-    field = CycloField(2 * n)
+    m = 2 * n
     top = (1 << n) - 1
-    scalars = []
+    exponents = []
     for j in range(n):
         s = 1 << j
         t = top ^ s
-        num = _blade_product(params, field, t, s)
-        den = _blade_product(params, field, s, t)
-        scalars.append(num[1] / den[1])
+        num = _blade_exponent(params, t, s)[1]
+        den = _blade_exponent(params, s, t)[1]
+        exponents.append((num - den) % m)
 
+    # phi(y_V) = prod_(j in V) scalar_j, built from the mask without its lowest bit
+    phi = [0] * (1 << n)
+    for v in range(1, 1 << n):
+        phi[v] = (phi[v & (v - 1)] + exponents[(v & -v).bit_length() - 1]) % m
     by_grade: list[list[int]] = [[] for _ in range(n + 1)]
     for mask in range(1 << n):
         by_grade[bin(mask).count("1")].append(mask)
-    blades = {m: ExtElement(params, {m: field.one()}, field) for m in range(1 << n)}
     for k in range(n + 1):
         for u in by_grade[k]:
-            bu = blades[u]
             for v in by_grade[n - k]:
-                bv = blades[v]
-                left = bu * bv
-                right = bv * bu
-                phi_scalar = field.one()
-                vv = v
-                while vv:
-                    jbit = (vv & -vv).bit_length() - 1
-                    vv &= vv - 1
-                    phi_scalar = phi_scalar * scalars[jbit]
-                if not (left - right.scale(phi_scalar)).is_zero():
+                left = _blade_exponent(params, u, v)
+                right = _blade_exponent(params, v, u)
+                if left is None and right is None:
+                    continue
+                if (
+                    left is None
+                    or right is None
+                    or left[0] != right[0]
+                    or left[1] != (right[1] + phi[v]) % m
+                ):
                     raise FrobeniusPairingError(
                         f"pairing identity failed on blades {u:#b}, {v:#b}"
                     )
-    return tuple(scalars)
+    field = CycloField(m)
+    return tuple(field.zeta(e) for e in exponents)
 
 
 def frobenius_closedform(params: QuantumParams) -> tuple[Cyclotomic, ...]:

@@ -14,13 +14,13 @@ from qfermat.census import (
     CENSUS_MIN_N,
     CapacityError,
     EXPECTED_GENERIC_CY_N5,
-    _lift,
     find_witness,
     index_to_params,
     params_to_index,
     run_census,
     total_count,
 )
+from qfermat._scan import lift
 from qfermat.hilb1 import face_complex, hilb1, is_generic
 from qfermat.koszulcy import column_sums, cy_criterion, is_twist_realizable
 
@@ -173,10 +173,10 @@ def test_twist_classes_lift_exactly_at_six_generators():
         assert min(indices) == _oracles.index_of(rep)
         assert sum(zero_sums) == (n ** (n - 2) if expected[0] else 0)
         lower = np.array([[rep[i][j] for i, j in combinations(range(1, n), 2)]])
-        assert _lift(n, lower, n ** (n - 1)) == sorted(indices)
+        assert lift(n, lower, n ** (n - 1)) == sorted(indices)
         if expected[0]:
             nonzero = sorted(i for i, z in zip(indices, zero_sums) if not z)
-            assert _lift(n, lower, n ** (n - 1), lambda r: sum(r) % n != 0) == nonzero
+            assert lift(n, lower, n ** (n - 1), lambda r: sum(r) % n != 0) == nonzero
 
 
 def test_json_and_csv_round_out_the_report(census4):

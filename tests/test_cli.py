@@ -1,13 +1,20 @@
 """Command line surface: exit codes, JSON/text renderers, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qfermat
+from qfermat import census, koszulcy
 from qfermat.cli import (
     EXIT_CAPACITY,
     EXIT_FALSE,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_TRUE,
     main,
 )
@@ -82,6 +89,33 @@ def test_census_capacity_exit(capsys):
     code = main(["census", "--n", "7"])
     capsys.readouterr()
     assert code == EXIT_CAPACITY
+
+
+def test_frobenius_pairing_failure_is_an_internal_error(capsys, monkeypatch):
+    real = koszulcy._blade_exponent
+
+    def corrupted(params, s, t):
+        r = real(params, s, t)
+        return r if r is None or (s, t) != (0b0011, 0b1100) else (r[0], r[1] + 1)
+
+    monkeypatch.setattr(koszulcy, "_blade_exponent", corrupted)
+    code = main(["frobenius", GENERIC4])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "FrobeniusPairingError" in err and "0b11, 0b1100" in err
+
+
+def test_census_partition_failure_is_an_internal_error(capsys, monkeypatch):
+    real = census._blocks
+    monkeypatch.setattr(census, "_blocks", lambda total, size: real(total, size)[:-1])
+    code = main(["census", "--n", "4"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "scanned 0 of 64 representatives" in err
 
 
 def test_census_small_n_is_an_input_error(capsys):
@@ -232,3 +266,39 @@ def test_check_cy_json_is_byte_identical_across_runs(capsys):
     _, first = run(capsys, "check-cy", TWIST5, "--output", "json")
     _, second = run(capsys, "check-cy", TWIST5, "--output", "json")
     assert first == second
+
+
+# ------------------------------------------------------------- import cost
+
+
+def test_only_scans_load_numpy():
+    """Importing the package and running every non-census command leaves
+    numpy unloaded; the census loads it."""
+    code = f"""
+import contextlib, io, sys
+import qfermat, qfermat.cli
+assert "numpy" not in sys.modules, "import"
+commands = [
+    ["check-cy", {TWIST5!r}],
+    ["twist-check", {TWIST5!r}],
+    ["patch", "--invert", "2", {TWIST5!r}],
+    ["eval", "--poly", "x2*x1", {TWIST5!r}],
+    ["central", "--poly", "x1*x2", {TWIST5!r}],
+    ["hilb1", {GENERIC4!r}],
+    ["frobenius", {GENERIC4!r}],
+]
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        qfermat.cli.main(argv)
+    assert "numpy" not in sys.modules, argv[0]
+with contextlib.redirect_stdout(io.StringIO()):
+    qfermat.cli.main(["census", "--n", "3"])
+assert "numpy" in sys.modules, "census"
+"""
+    env = dict(os.environ)
+    src = str(Path(qfermat.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

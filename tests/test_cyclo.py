@@ -1,5 +1,6 @@
 """Exact cyclotomic arithmetic: pinned values and field axioms."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -202,3 +203,90 @@ def test_basis_string_readable():
     f = CycloField(5)
     s = (f.zeta(1) * 2 - f.one()).basis_string()
     assert "w" in s and "-1" in s
+
+
+# ------------------------------------------------- root-of-unity fast paths
+
+
+def _untagged(z):
+    """A copy of z that takes the general arithmetic paths."""
+    return z.field.element(z.coords)
+
+
+def _generic_mul(a, b):
+    return a.field._mul_coords(a.coords, b.coords)
+
+
+@given(st.integers(1, 14), st.integers(-30, 30), st.integers(-30, 30), st.data())
+def test_root_fast_paths_match_the_generic_kernel(m, a, b, data):
+    f = CycloField(m)
+    x = data.draw(field_elements(conductor=m))
+    za, zb = f.zeta(a), f.zeta(b)
+    assert za.root_exp == a % m and x.root_exp is None
+    # general times root: the shifted-and-reduced product equals _mul_coords
+    assert (x * zb).coords == (zb * x).coords == _generic_mul(x, _untagged(zb))
+    assert x.mul_zeta(b).coords == _generic_mul(x, _untagged(zb))
+    # root times root stays an interned root
+    assert za * zb is f.zeta(a + b)
+    assert (za * zb).coords == _generic_mul(_untagged(za), _untagged(zb))
+    # inverse and quotients against the extended Euclidean inverse
+    assert za.inverse() is f.zeta(-a)
+    assert za.inverse().coords == _untagged(za).inverse().coords
+    assert (za / zb).coords == _generic_mul(za, _untagged(zb).inverse())
+    assert (x / zb).coords == _generic_mul(x, _untagged(zb).inverse())
+    assert (1 / zb).coords == _untagged(zb).inverse().coords
+    # powers, including negative ones
+    for k in (-3, -1, 0, 2, 5):
+        assert (za ** k).coords == (_untagged(za) ** k).coords
+    # coordinates stay Fractions, so the JSON and printed forms do not change
+    for y in (x * zb, za * zb, za / zb, x / zb, za ** -3):
+        assert all(type(c) is Fraction for c in y.coords)
+
+
+def test_root_coordinates_match_repeated_multiplication():
+    for m in range(1, 31):
+        f = CycloField(m)
+        z = _untagged(f.zeta(1))
+        acc = _untagged(f.one())
+        for e in range(2 * m + 1):
+            assert f.zeta(e).coords == acc.coords
+            acc = acc * z
+
+
+# ------------------------------------------------------ sympy cross-check
+
+
+def _sympy_coords(sympy, poly, degree):
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+    return tuple(coeffs + [Fraction(0)] * (degree - len(coeffs)))
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for m in range(1, 31):
+        expected = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()
+        assert cyclotomic_polynomial(m) == tuple(int(c) for c in reversed(expected))
+
+
+def test_inverses_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(0xC1C)
+    for m in range(3, 15):
+        f = CycloField(m)
+        modulus = sympy.Poly(sympy.cyclotomic_poly(m, x), x, domain="QQ")
+        elements = [f.zeta(k) for k in range(m)]
+        while len(elements) < m + 8:
+            a = f.element(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(f.degree))
+            if not a.is_zero():
+                elements.append(a)
+        for a in elements:
+            poly = sympy.Poly(
+                [sympy.Rational(c.numerator, c.denominator) for c in reversed(a.coords)],
+                x,
+                domain="QQ",
+            )
+            expected = _sympy_coords(sympy, sympy.invert(poly, modulus), f.degree)
+            assert a.inverse().coords == expected
+            assert _untagged(a).inverse().coords == expected

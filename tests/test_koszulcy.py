@@ -1,17 +1,21 @@
 """CY criterion, twisted exterior algebra, Frobenius scalars, patches."""
 
+import json
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qfermat import koszulcy
 from qfermat.cyclo import CycloField
 from qfermat.hilb1 import face_complex
 from qfermat.koszulcy import (
     DEHOMOGENIZE_NOTE,
     ExtElement,
+    FrobeniusPairingError,
     PatchParams,
     column_sums,
     compare_frobenius,
@@ -115,6 +119,17 @@ def test_exterior_defining_relation(p):
             assert ((yi * yj).scale(q_ij) + yj * yi).is_zero()
 
 
+@given(params_st(min_n=2, max_n=4))
+def test_exterior_defining_relation_in_a_larger_field(p):
+    field = CycloField(4 * p.n)
+    for i in range(1, p.n + 1):
+        for j in range(i + 1, p.n + 1):
+            yi = ExtElement.generator(p, i, field)
+            yj = ExtElement.generator(p, j, field)
+            q_ij = field.zeta(4 * p.exponent(i, j))
+            assert ((yi * yj).scale(q_ij) + yj * yi).is_zero()
+
+
 @given(params_st(min_n=2, max_n=5), st.data())
 def test_exterior_product_is_associative(p, data):
     n = p.n
@@ -184,6 +199,103 @@ def test_frobenius_routes_agree_modulo_one_global_unit(p):
     comp = compare_frobenius(p)
     assert comp.agree_mod_scalar
     assert comp.ratio == -CycloField(2 * p.n).one()
+
+
+def _pairing_pairs(n):
+    """Ordered blade pairs (u, v) with |u| + |v| = n, 0 < |u| < n and u != v,
+    except the pairs that fix the scalars (u or v a single generator and the
+    other its complement): corrupting one of those moves a scalar, and the
+    sweep then fails first on the pair (0, top).  A pair (u, u) is its own
+    reverse, so a corrupted exponent appears on both sides of its check."""
+    top = (1 << n) - 1
+    for u in range(1, top):
+        for v in range(1, top):
+            if u == v or bin(u).count("1") + bin(v).count("1") != n:
+                continue
+            if u | v == top and 1 in (bin(u).count("1"), bin(v).count("1")):
+                continue
+            yield u, v
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_pairing_sweep_rejects_any_single_corrupted_pair(n, monkeypatch):
+    p = random_params(n, random.Random(n))
+    real = koszulcy._blade_exponent
+    checked = 0
+    for bad in _pairing_pairs(n):
+
+        def corrupted(params, s, t, bad=bad):
+            r = real(params, s, t)
+            if (s, t) != bad:
+                return r
+            return (s | t, 0) if r is None else (r[0], (r[1] + 1) % (2 * n))
+
+        monkeypatch.setattr(koszulcy, "_blade_exponent", corrupted)
+        with pytest.raises(FrobeniusPairingError) as info:
+            frobenius_bruteforce(p)
+        u, v = bad
+        assert str(info.value) in (
+            f"pairing identity failed on blades {u:#b}, {v:#b}",
+            f"pairing identity failed on blades {v:#b}, {u:#b}",
+        )
+        checked += 1
+    monkeypatch.setattr(koszulcy, "_blade_exponent", real)
+    frobenius_bruteforce(p)
+    # C(2n, n) pairs, less the two with an empty blade, the 2n that fix
+    # scalars and the C(n, n/2) pairs (u, u)
+    self_paired = comb(n, n // 2) if n % 2 == 0 else 0
+    assert checked == comb(2 * n, n) - 2 - 2 * n - self_paired
+
+
+def _generic_frobenius_json(p):
+    """compare_frobenius(p).to_json_dict() recomputed on untagged elements,
+    so every product runs through _mul_coords and every quotient through the
+    extended Euclidean inverse; blade signs come from literal crossings."""
+    n = p.n
+    field = CycloField(2 * n)
+
+    def generic(z):
+        return field.element(z.coords)
+
+    def minus_q(i, j):
+        # -q_ij = -zeta_n^(e_ij) as an untagged element of Q(zeta_2n)
+        return -generic(field.zeta(2 * p.exps[i][j]))
+
+    def blade_coeff(left, right):
+        c = generic(field.one())
+        for b in right:
+            for a in left:
+                if a > b:
+                    c = c * minus_q(b, a)
+        return c
+
+    gens = list(range(n))
+    brute, closed = [], []
+    for j in gens:
+        rest = [i for i in gens if i != j]
+        brute.append(blade_coeff(rest, [j]) * blade_coeff([j], rest).inverse())
+        c = generic(field.one())
+        for i in gens:
+            c = c * minus_q(j, i)
+        closed.append(c)
+    ratios = [b * c.inverse() for b, c in zip(brute, closed)]
+    agree = all(r == ratios[0] for r in ratios[1:])
+    return {
+        "n": n,
+        "bruteforce": [c.to_json() for c in brute],
+        "closedform": [c.to_json() for c in closed],
+        "agree_mod_scalar": agree,
+        "ratio": ratios[0].to_json() if agree else None,
+    }
+
+
+def test_frobenius_json_matches_the_generic_arithmetic_path():
+    rng = random.Random(0xF2)
+    for n in range(2, 8):
+        for _ in range(12 if n < 7 else 4):
+            p = random_params(n, rng)
+            fast = json.dumps(compare_frobenius(p).to_json_dict(), sort_keys=True)
+            assert fast == json.dumps(_generic_frobenius_json(p), sort_keys=True)
 
 
 def test_closed_form_reads_the_row_sums():
