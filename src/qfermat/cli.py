@@ -252,6 +252,11 @@ def run(inv: Invocation) -> int:
     except CapacityError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CAPACITY
+    except RecursionError:
+        # RecursionError subclasses RuntimeError; the recursive-descent
+        # parser raises it on input nested too deeply, which is an input fault.
+        sys.stderr.write("error: input nested too deeply to parse\n")
+        return EXIT_INPUT
     except RuntimeError as exc:
         # Internal self-checks (FrobeniusPairingError, the census partition
         # count) raise RuntimeError; they must not read as "predicate false".

@@ -367,8 +367,6 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.root_exp is not None:
-            return o.mul_zeta(-self.root_exp)
         return o * self.inverse()
 
     def __pow__(self, exponent: int):
@@ -412,8 +410,6 @@ class Cyclotomic:
                 f"no embedding of conductor {m} into conductor {big}"
             )
         step = big // m
-        if self.root_exp is not None:
-            return target.zeta(step * self.root_exp)
         out = target.zero()
         for i, c in enumerate(self.coords):
             if c:

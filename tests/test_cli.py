@@ -131,6 +131,15 @@ def test_bad_poly_is_an_input_error(capsys):
     assert "x9" in err
 
 
+def test_deeply_nested_poly_is_an_input_error(capsys):
+    deep = "(" * 2000 + "1" + ")" * 2000 + "*x1"
+    code = main(["central", "--poly", deep, TWIST5])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: input nested too deeply to parse\n"
+
+
 # ------------------------------------------------------------------ centrality
 
 
