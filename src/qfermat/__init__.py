@@ -15,7 +15,6 @@ from .cyclo import (
     FieldMismatchError,
     cyclotomic_polynomial,
     euler_phi,
-    root_of_unity,
 )
 from .qalgebra import (
     ALGEBRA_A,

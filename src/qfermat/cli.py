@@ -3,8 +3,9 @@
 Exit codes: 0 = computed and any decided predicate is true; 1 = computed but
 the predicate is false (e.g. not Calabi-Yau); 2 = input error; 3 = capacity
 error; 4 = internal error (a failed self-check such as the Frobenius pairing
-verification or the census partition count).  All diagnostics go to standard
-error; reports go to standard output.
+verification or the census partition count, or an inadmissible face that
+hilb1 built itself).  All diagnostics go to standard error; reports go to
+standard output.  Each subcommand's handler receives the argparse namespace.
 JSON output is byte-deterministic for a fixed input (and worker count 1).
 """
 
@@ -14,16 +15,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from .census import CapacityError, run_census
-from .cyclo import FieldMismatchError
-from .expr import ParamsDocError, ParseError, lower, parse_params, parse_poly, print_poly
-from .hilb1 import hilb1
+from .expr import lower, parse_params, parse_poly, print_poly
+from .hilb1 import InadmissibleFaceError, hilb1
 from .koszulcy import compare_frobenius, cy_criterion, dehomogenize, is_twist_realizable
-from .qalgebra import ALGEBRA_A, ALGEBRA_B, ParamsError, QuantumParams, is_central
+from .qalgebra import ALGEBRA_A, ALGEBRA_B, QuantumParams, is_central
 
-__all__ = ["Invocation", "build_parser", "entry", "main", "run"]
+__all__ = ["build_parser", "entry", "main"]
 
 WORKERS_ENV = "QFERMAT_WORKERS"
 
@@ -32,15 +31,6 @@ EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
 EXIT_INTERNAL = 4
-
-
-@dataclass(frozen=True)
-class Invocation:
-    """One resolved command-line request."""
-
-    command: str
-    params: str | None = None
-    flags: dict = field(default_factory=dict)
 
 
 def _default_workers() -> int:
@@ -77,8 +67,8 @@ def _fmt_bool(b: bool) -> str:
 # -- per-command handlers -------------------------------------------------------
 
 
-def _cmd_check_cy(inv: Invocation) -> int:
-    params = _load_params(inv.params)
+def _cmd_check_cy(args) -> int:
+    params = _load_params(args.params)
     report = cy_criterion(params)
     payload = report.to_json_dict()
     lines = [
@@ -90,13 +80,13 @@ def _cmd_check_cy(inv: Invocation) -> int:
     ]
     if report.twist_vector is not None:
         lines.append(f"twist_vector: {list(report.twist_vector)}")
-    _emit(payload, inv.flags["json"], lines)
+    _emit(payload, args.output == "json", lines)
     return EXIT_TRUE if report.is_cy else EXIT_FALSE
 
 
-def _cmd_hilb1(inv: Invocation) -> int:
-    params = _load_params(inv.params)
-    report = hilb1(params, inv.flags["algebra"])
+def _cmd_hilb1(args) -> int:
+    params = _load_params(args.params)
+    report = hilb1(params, args.algebra)
     payload = report.to_json_dict()
     lines = [
         f"algebra: {report.algebra}",
@@ -118,16 +108,13 @@ def _cmd_hilb1(inv: Invocation) -> int:
             for pt in comp.points:
                 coords = ", ".join(c.basis_string() for c in pt)
                 lines.append(f"  ({coords})")
-    _emit(payload, inv.flags["json"], lines)
+    _emit(payload, args.output == "json", lines)
     return EXIT_TRUE
 
 
-def _cmd_census(inv: Invocation) -> int:
-    report = run_census(
-        inv.flags["n"],
-        workers=inv.flags["workers"],
-        witness_limit=inv.flags["witness_limit"],
-    )
+def _cmd_census(args) -> int:
+    workers = args.workers if args.workers is not None else _default_workers()
+    report = run_census(args.n, workers=workers, witness_limit=args.witness_limit)
     payload = report.to_json_dict()
     lines = [
         f"n: {report.n}",
@@ -144,10 +131,9 @@ def _cmd_census(inv: Invocation) -> int:
         lines.append(f"alternative_readings: {report.alternative_readings}")
     for w in report.witnesses:
         lines.append(f"witness: {[list(r) for r in w.exps]}")
-    _emit(payload, inv.flags["json"], lines)
-    csv_path = inv.flags.get("csv")
-    if csv_path:
-        with open(csv_path, "w", encoding="utf-8") as fh:
+    _emit(payload, args.output == "json", lines)
+    if args.csv:
+        with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("predicate,count\n")
             for name, count in report.csv_counts():
                 fh.write(f"{name},{count}\n")
@@ -161,24 +147,24 @@ def _cmd_census(inv: Invocation) -> int:
     return EXIT_TRUE if ok else EXIT_FALSE
 
 
-def _parse_poly_flag(inv: Invocation, params: QuantumParams):
-    conductor = inv.flags.get("conductor") or params.n
-    ast = parse_poly(inv.flags["poly"], params.n, conductor)
-    return lower(ast, params, inv.flags["algebra"])
+def _parse_poly_flag(args, params: QuantumParams):
+    conductor = params.n if args.conductor is None else args.conductor
+    ast = parse_poly(args.poly, params.n, conductor)
+    return lower(ast, params, args.algebra)
 
 
-def _cmd_central(inv: Invocation) -> int:
-    params = _load_params(inv.params)
-    poly = _parse_poly_flag(inv, params)
+def _cmd_central(args) -> int:
+    params = _load_params(args.params)
+    poly = _parse_poly_flag(args, params)
     central = is_central(poly)
     canonical = print_poly(poly)
     payload = {"central": central, "poly": canonical}
-    _emit(payload, inv.flags["json"], [f"central: {_fmt_bool(central)}", f"poly: {canonical}"])
+    _emit(payload, args.output == "json", [f"central: {_fmt_bool(central)}", f"poly: {canonical}"])
     return EXIT_TRUE if central else EXIT_FALSE
 
 
-def _cmd_frobenius(inv: Invocation) -> int:
-    params = _load_params(inv.params)
+def _cmd_frobenius(args) -> int:
+    params = _load_params(args.params)
     comparison = compare_frobenius(params)
     payload = comparison.to_json_dict()
     lines = [
@@ -187,12 +173,12 @@ def _cmd_frobenius(inv: Invocation) -> int:
         "bruteforce: " + ", ".join(c.basis_string() for c in comparison.bruteforce),
         "closedform: " + ", ".join(c.basis_string() for c in comparison.closedform),
     ]
-    _emit(payload, inv.flags["json"], lines)
+    _emit(payload, args.output == "json", lines)
     return EXIT_TRUE if comparison.agree_mod_scalar else EXIT_FALSE
 
 
-def _cmd_twist_check(inv: Invocation) -> int:
-    params = _load_params(inv.params)
+def _cmd_twist_check(args) -> int:
+    params = _load_params(args.params)
     twist = is_twist_realizable(params)
     payload = {
         "realizable": twist is not None,
@@ -202,13 +188,13 @@ def _cmd_twist_check(inv: Invocation) -> int:
         f"realizable: {_fmt_bool(twist is not None)}",
         f"twist: {list(twist) if twist is not None else None}",
     ]
-    _emit(payload, inv.flags["json"], lines)
+    _emit(payload, args.output == "json", lines)
     return EXIT_TRUE if twist is not None else EXIT_FALSE
 
 
-def _cmd_patch(inv: Invocation) -> int:
-    params = _load_params(inv.params)
-    patch = dehomogenize(params, inv.flags["invert"])
+def _cmd_patch(args) -> int:
+    params = _load_params(args.params)
+    patch = dehomogenize(params, args.invert)
     payload = patch.to_json()
     lines = [
         f"order: {patch.order}",
@@ -216,62 +202,17 @@ def _cmd_patch(inv: Invocation) -> int:
         f"exponents: {[list(r) for r in patch.exps]}",
         f"note: {patch.note}",
     ]
-    _emit(payload, inv.flags["json"], lines)
+    _emit(payload, args.output == "json", lines)
     return EXIT_TRUE
 
 
-def _cmd_eval(inv: Invocation) -> int:
-    params = _load_params(inv.params)
-    poly = _parse_poly_flag(inv, params)
+def _cmd_eval(args) -> int:
+    params = _load_params(args.params)
+    poly = _parse_poly_flag(args, params)
     canonical = print_poly(poly)
     payload = {"canonical": canonical, "poly": poly.to_json()}
-    _emit(payload, inv.flags["json"], [canonical])
+    _emit(payload, args.output == "json", [canonical])
     return EXIT_TRUE
-
-
-_HANDLERS = {
-    "check-cy": _cmd_check_cy,
-    "hilb1": _cmd_hilb1,
-    "census": _cmd_census,
-    "central": _cmd_central,
-    "frobenius": _cmd_frobenius,
-    "twist-check": _cmd_twist_check,
-    "patch": _cmd_patch,
-    "eval": _cmd_eval,
-}
-
-
-def run(inv: Invocation) -> int:
-    """Execute one invocation, mapping failures to the exit-code contract."""
-    handler = _HANDLERS.get(inv.command)
-    if handler is None:
-        sys.stderr.write(f"error: unknown command {inv.command!r}\n")
-        return EXIT_INPUT
-    try:
-        return handler(inv)
-    except CapacityError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CAPACITY
-    except RecursionError:
-        # RecursionError subclasses RuntimeError; the recursive-descent
-        # parser raises it on input nested too deeply, which is an input fault.
-        sys.stderr.write("error: input nested too deeply to parse\n")
-        return EXIT_INPUT
-    except RuntimeError as exc:
-        # Internal self-checks (FrobeniusPairingError, the census partition
-        # count) raise RuntimeError; they must not read as "predicate false".
-        sys.stderr.write(f"error: internal: {type(exc).__name__}: {exc}\n")
-        return EXIT_INTERNAL
-    except (
-        ParamsError,
-        ParamsDocError,
-        ParseError,
-        FieldMismatchError,
-        ValueError,
-        OSError,
-    ) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,15 +241,18 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("check-cy", help="decide the Calabi-Yau column-sum criterion")
+    p.set_defaults(handler=_cmd_check_cy)
     add_params_arg(p)
     add_output_flag(p)
 
     p = sub.add_parser("hilb1", help="classify point modules")
+    p.set_defaults(handler=_cmd_hilb1)
     add_params_arg(p)
     p.add_argument("--algebra", choices=(ALGEBRA_B, ALGEBRA_A), default=ALGEBRA_A)
     add_output_flag(p)
 
     p = sub.add_parser("census", help="exhaustive scan of all matrices for one n")
+    p.set_defaults(handler=_cmd_census)
     p.add_argument("--n", type=int, required=True)
     p.add_argument(
         "--workers",
@@ -321,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_output_flag(p)
 
     p = sub.add_parser("central", help="test centrality of a polynomial")
+    p.set_defaults(handler=_cmd_central)
     add_params_arg(p)
     p.add_argument("--poly", required=True, help="polynomial expression, e.g. 'x1*x2'")
     p.add_argument("--algebra", choices=(ALGEBRA_B, ALGEBRA_A), default=ALGEBRA_B)
@@ -328,19 +273,23 @@ def build_parser() -> argparse.ArgumentParser:
     add_output_flag(p)
 
     p = sub.add_parser("frobenius", help="compare the two Frobenius automorphism routes")
+    p.set_defaults(handler=_cmd_frobenius)
     add_params_arg(p)
     add_output_flag(p)
 
     p = sub.add_parser("twist-check", help="recognize twisted-coordinate-ring parameters")
+    p.set_defaults(handler=_cmd_twist_check)
     add_params_arg(p)
     add_output_flag(p)
 
     p = sub.add_parser("patch", help="dehomogenized chart commutation exponents")
+    p.set_defaults(handler=_cmd_patch)
     add_params_arg(p)
     p.add_argument("--invert", type=int, required=True, help="1-based inverted generator")
     add_output_flag(p)
 
     p = sub.add_parser("eval", help="parse, normal-order, and print a polynomial")
+    p.set_defaults(handler=_cmd_eval)
     add_params_arg(p)
     p.add_argument("--poly", required=True)
     p.add_argument("--algebra", choices=(ALGEBRA_B, ALGEBRA_A), default=ALGEBRA_B)
@@ -351,31 +300,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    flags = {"json": getattr(args, "output", "text") == "json"}
+    """Run one command line, mapping failures to the exit-code contract."""
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "census":
-            flags["n"] = args.n
-            flags["workers"] = args.workers if args.workers is not None else _default_workers()
-            flags["witness_limit"] = args.witness_limit
-            flags["csv"] = args.csv
-        if args.command in ("hilb1", "central", "eval"):
-            flags["algebra"] = args.algebra
-        if args.command in ("central", "eval"):
-            flags["poly"] = args.poly
-            flags["conductor"] = args.conductor
-        if args.command == "patch":
-            flags["invert"] = args.invert
-    except ValueError as exc:
+        return args.handler(args)
+    except CapacityError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_CAPACITY
+    except RecursionError:
+        # RecursionError subclasses RuntimeError; the recursive-descent
+        # parser raises it on input nested too deeply, which is an input fault.
+        sys.stderr.write("error: input nested too deeply to parse\n")
+        return EXIT_INPUT
+    except (RuntimeError, InadmissibleFaceError) as exc:
+        # Internal self-checks (FrobeniusPairingError, the census partition
+        # count) raise RuntimeError, and hilb1 raises InadmissibleFaceError
+        # only on faces it built itself; none of these may read as
+        # "predicate false" or "bad input".
+        sys.stderr.write(f"error: internal: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    inv = Invocation(
-        command=args.command,
-        params=getattr(args, "params", None),
-        flags=flags,
-    )
-    return run(inv)
 
 
 def entry() -> None:

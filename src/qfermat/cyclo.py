@@ -25,7 +25,6 @@ __all__ = [
     "FieldMismatchError",
     "cyclotomic_polynomial",
     "euler_phi",
-    "root_of_unity",
 ]
 
 Scalar = Union[int, Fraction]
@@ -247,14 +246,6 @@ class Cyclotomic:
     def is_zero(self) -> bool:
         return not any(self.coords)
 
-    def is_rational(self) -> bool:
-        return not any(self.coords[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return self.coords[0]
-
     def __bool__(self) -> bool:
         return not self.is_zero()
 
@@ -458,7 +449,3 @@ class Cyclotomic:
     def __repr__(self) -> str:
         return f"<{self.basis_string()} in Q(zeta_{self.field.conductor})>"
 
-
-def root_of_unity(field: CycloField, exponent: int) -> Cyclotomic:
-    """zeta_m^exponent in the given field, exponent taken modulo m."""
-    return field.zeta(exponent)

@@ -4,10 +4,9 @@ Polynomial grammar (a strict superset of the canonical printed form, so that
 every print round-trips):
 
     poly       := ['-'] term (('+' | '-') term)*
-    term       := coeff '*' factors | factors | coeff
+    term       := catom '*' factors | factors | catom
     factors    := factor ('*' factor)*
     factor     := 'x' INT ['^' INT]            -- generator power, power >= 1
-    coeff      := rational | wpow | '(' coeff_expr ')' ['^' INT]
     coeff_expr := ['-'] cterm (('+' | '-') cterm)*
     cterm      := catom ('*' catom)*
     catom      := rational | wpow | '(' coeff_expr ')' ['^' INT]
@@ -17,7 +16,8 @@ every print round-trips):
 'w' denotes the fixed primitive root of unity of the ambient conductor.  '*'
 is mandatory between all factors; juxtaposition never multiplies.  Factor
 order is preserved exactly as written -- the word is the noncommutative
-source of truth and is only normal-ordered during lowering.
+source of truth and is only normal-ordered during lowering.  Coefficients
+are evaluated in Q(zeta_conductor) as they are read.
 
 Parameter documents are JSON with "n" plus exactly one of "exponents" (full
 matrix), "twist" (vector d with e_ij = d_i - d_j), or "entries" (sparse list
@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .cyclo import CycloField, Cyclotomic
 from .qalgebra import (
@@ -46,7 +46,6 @@ __all__ = [
     "PolyAst",
     "PolyTerm",
     "Factor",
-    "eval_coeff",
     "lower",
     "parse_params",
     "parse_poly",
@@ -67,71 +66,6 @@ class ParamsDocError(ValueError):
     """Schema violation in a parameter document; messages carry field paths."""
 
 
-# -- coefficient expression AST ----------------------------------------------------
-
-
-class CoeffNode:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class CoeffRat(CoeffNode):
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class CoeffW(CoeffNode):
-    power: int
-
-
-@dataclass(frozen=True)
-class CoeffNeg(CoeffNode):
-    inner: CoeffNode
-
-
-@dataclass(frozen=True)
-class CoeffAdd(CoeffNode):
-    left: CoeffNode
-    right: CoeffNode
-
-
-@dataclass(frozen=True)
-class CoeffSub(CoeffNode):
-    left: CoeffNode
-    right: CoeffNode
-
-
-@dataclass(frozen=True)
-class CoeffMul(CoeffNode):
-    left: CoeffNode
-    right: CoeffNode
-
-
-@dataclass(frozen=True)
-class CoeffPow(CoeffNode):
-    base: CoeffNode
-    exponent: int
-
-
-def eval_coeff(node: CoeffNode, field: CycloField) -> Cyclotomic:
-    """Evaluate a coefficient expression in the given cyclotomic field."""
-    if isinstance(node, CoeffRat):
-        return field.from_rational(node.value)
-    if isinstance(node, CoeffW):
-        return field.zeta(node.power)
-    if isinstance(node, CoeffNeg):
-        return -eval_coeff(node.inner, field)
-    if isinstance(node, CoeffAdd):
-        return eval_coeff(node.left, field) + eval_coeff(node.right, field)
-    if isinstance(node, CoeffSub):
-        return eval_coeff(node.left, field) - eval_coeff(node.right, field)
-    if isinstance(node, CoeffMul):
-        return eval_coeff(node.left, field) * eval_coeff(node.right, field)
-    if isinstance(node, CoeffPow):
-        return eval_coeff(node.base, field) ** node.exponent
-    raise TypeError(f"not a coefficient node: {node!r}")
-
-
 # -- polynomial AST ------------------------------------------------------------------
 
 
@@ -143,14 +77,14 @@ class Factor:
 
 @dataclass(frozen=True)
 class PolyTerm:
-    negated: bool
-    coeff: Optional[CoeffNode]
+    coeff: Cyclotomic
     factors: tuple[Factor, ...]
 
 
 @dataclass(frozen=True)
 class PolyAst:
-    """Parsed polynomial: a signed sum of (coefficient, factor word) terms."""
+    """Parsed polynomial: a sum of (coefficient, factor word) terms, each
+    coefficient already evaluated and carrying the term's sign."""
 
     n: int
     conductor: int
@@ -166,23 +100,12 @@ class PolyAst:
             return NotImplemented
         if self.n != other.n or self.conductor != other.conductor:
             raise ValueError("operands parsed against different contexts")
-        out = []
-        for a in self.terms:
-            for b in other.terms:
-                if a.coeff is None:
-                    coeff = b.coeff
-                elif b.coeff is None:
-                    coeff = a.coeff
-                else:
-                    coeff = CoeffMul(a.coeff, b.coeff)
-                out.append(
-                    PolyTerm(
-                        negated=a.negated != b.negated,
-                        coeff=coeff,
-                        factors=a.factors + b.factors,
-                    )
-                )
-        return PolyAst(self.n, self.conductor, tuple(out))
+        out = tuple(
+            PolyTerm(a.coeff * b.coeff, a.factors + b.factors)
+            for a in self.terms
+            for b in other.terms
+        )
+        return PolyAst(self.n, self.conductor, out)
 
 
 # -- tokenizer ------------------------------------------------------------------------
@@ -250,6 +173,7 @@ class _Parser:
         self.pos = 0
         self.n = n
         self.conductor = conductor
+        self.field = CycloField(conductor)
 
     def peek(self) -> tuple[str, object, int]:
         return self.tokens[self.pos]
@@ -291,12 +215,13 @@ class _Parser:
 
     def term(self, negated: bool) -> PolyTerm:
         if self.peek()[0] == "GEN":
-            return PolyTerm(negated, None, self.factors())
-        coeff = self.coeff_unit()
-        if self.peek()[0] == "STAR":
-            self.next()
-            return PolyTerm(negated, coeff, self.factors())
-        return PolyTerm(negated, coeff, ())
+            coeff, factors = self.field.one(), self.factors()
+        else:
+            coeff, factors = self.catom("coefficient or generator"), ()
+            if self.peek()[0] == "STAR":
+                self.next()
+                factors = self.factors()
+        return PolyTerm(-coeff if negated else coeff, factors)
 
     def factors(self) -> tuple[Factor, ...]:
         out = [self.factor()]
@@ -321,17 +246,7 @@ class _Parser:
                 raise ParseError("generator power must be >= 1", ptok[2])
         return Factor(idx, power)
 
-    def coeff_unit(self) -> CoeffNode:
-        kind, value, pos = self.peek()
-        if kind == "INT":
-            return self.rational()
-        if kind == "W":
-            return self.wpow()
-        if kind == "LPAREN":
-            return self.paren_coeff()
-        raise ParseError("expected coefficient or generator", pos)
-
-    def rational(self) -> CoeffNode:
+    def rational(self) -> Cyclotomic:
         tok = self.expect("INT", "integer")
         num = int(tok[1])
         if self.peek()[0] == "SLASH":
@@ -340,53 +255,53 @@ class _Parser:
             den = int(dtok[1])
             if den == 0:
                 raise ParseError("zero denominator", dtok[2])
-            return CoeffRat(Fraction(num, den))
-        return CoeffRat(Fraction(num))
+            return self.field.from_rational(Fraction(num, den))
+        return self.field.from_rational(num)
 
-    def wpow(self) -> CoeffNode:
+    def wpow(self) -> Cyclotomic:
         self.expect("W", "'w'")
         power = 1
         if self.peek()[0] == "CARET":
             self.next()
             ptok = self.expect("INT", "integer exponent")
             power = int(ptok[1])
-        return CoeffW(power)
+        return self.field.zeta(power)
 
-    def paren_coeff(self) -> CoeffNode:
+    def paren_coeff(self) -> Cyclotomic:
         self.expect("LPAREN", "'('")
         inner = self.coeff_expr()
         self.expect("RPAREN", "')'")
         if self.peek()[0] == "CARET":
             self.next()
             ptok = self.expect("INT", "integer exponent")
-            return CoeffPow(inner, int(ptok[1]))
+            return inner ** int(ptok[1])
         return inner
 
-    def coeff_expr(self) -> CoeffNode:
+    def coeff_expr(self) -> Cyclotomic:
         if self.peek()[0] == "MINUS":
             self.next()
-            node: CoeffNode = CoeffNeg(self.cterm())
+            value = -self.cterm()
         else:
-            node = self.cterm()
+            value = self.cterm()
         while True:
             kind = self.peek()[0]
             if kind == "PLUS":
                 self.next()
-                node = CoeffAdd(node, self.cterm())
+                value = value + self.cterm()
             elif kind == "MINUS":
                 self.next()
-                node = CoeffSub(node, self.cterm())
+                value = value - self.cterm()
             else:
-                return node
+                return value
 
-    def cterm(self) -> CoeffNode:
-        node = self.catom()
+    def cterm(self) -> Cyclotomic:
+        value = self.catom()
         while self.peek()[0] == "STAR":
             self.next()
-            node = CoeffMul(node, self.catom())
-        return node
+            value = value * self.catom()
+        return value
 
-    def catom(self) -> CoeffNode:
+    def catom(self, what: str = "rational, 'w', or '('") -> Cyclotomic:
         kind, _, pos = self.peek()
         if kind == "INT":
             return self.rational()
@@ -394,7 +309,7 @@ class _Parser:
             return self.wpow()
         if kind == "LPAREN":
             return self.paren_coeff()
-        raise ParseError("expected rational, 'w', or '('", pos)
+        raise ParseError(f"expected {what}", pos)
 
 
 def parse_poly(text: str, n: int, conductor: int) -> PolyAst:
@@ -437,14 +352,10 @@ def lower(ast: PolyAst, params: QuantumParams, algebra: str = ALGEBRA_B) -> Skew
         md = [0] * params.n
         for f in term.factors:
             md[f.gen - 1] += f.power
-        coeff = (
-            field.one() if term.coeff is None else eval_coeff(term.coeff, field)
-        )
+        coeff = term.coeff
         phase = _factors_phase(params, term.factors)
         if phase:
             coeff = coeff * field.zeta(scale * phase)
-        if term.negated:
-            coeff = -coeff
         key = tuple(md)
         prev = terms.get(key)
         terms[key] = coeff if prev is None else prev + coeff

@@ -67,8 +67,12 @@ class CyReport:
     column_sums: tuple[int, ...]
     common_value: Optional[int]
     serre_twist: DiagAutomorphism
-    twist_is_scalar: bool
     twist_vector: Optional[tuple[int, ...]]
+
+    @property
+    def twist_is_scalar(self) -> bool:
+        """The residual twist is scalar exactly when the column sums agree."""
+        return self.is_cy
 
     def to_json_dict(self) -> dict:
         out = {
@@ -95,7 +99,6 @@ def cy_criterion(params: QuantumParams) -> CyReport:
         column_sums=sums,
         common_value=sums[0] if is_cy else None,
         serre_twist=twist,
-        twist_is_scalar=is_cy,
         twist_vector=is_twist_realizable(params),
     )
 
@@ -169,16 +172,6 @@ class ExtElement:
         self._terms = clean
 
     @classmethod
-    def zero(cls, params, field=None) -> "ExtElement":
-        return cls(params, {}, field)
-
-    @classmethod
-    def one(cls, params, field=None) -> "ExtElement":
-        e = cls(params, {}, field)
-        e._terms = {0: e.field.one()}
-        return e
-
-    @classmethod
     def generator(cls, params, j: int, field=None) -> "ExtElement":
         params._check_index(j)
         e = cls(params, {}, field)
@@ -203,12 +196,6 @@ class ExtElement:
         """Blades as sorted index tuples mapped to coefficients."""
         return {_mask_to_subset(m): c for m, c in self._terms.items()}
 
-    def coefficient(self, indices: Sequence[int]) -> Cyclotomic:
-        mask = 0
-        for j in indices:
-            mask |= 1 << (j - 1)
-        return self._terms.get(mask, self.field.zero())
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -225,16 +212,6 @@ class ExtElement:
             prev = merged.get(m)
             merged[m] = c if prev is None else prev + c
         return ExtElement(self.params, merged, self.field)
-
-    def __neg__(self):
-        return ExtElement(
-            self.params, {m: -c for m, c in self._terms.items()}, self.field
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, ExtElement):
-            return NotImplemented
-        return self + (-other)
 
     def scale(self, scalar) -> "ExtElement":
         if not isinstance(scalar, Cyclotomic):
@@ -267,11 +244,6 @@ class ExtElement:
                     out[mask] = acc
         return ExtElement(self.params, out, self.field)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            return self.scale(other)
-        return NotImplemented
-
     def __eq__(self, other):
         if not isinstance(other, ExtElement):
             return NotImplemented
@@ -279,11 +251,6 @@ class ExtElement:
             self.params == other.params
             and self.field is other.field
             and self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.params, self.field.conductor, frozenset(self._terms.items()))
         )
 
     def __repr__(self):

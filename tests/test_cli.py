@@ -1,5 +1,6 @@
 """Command line surface: exit codes, JSON/text renderers, determinism."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -118,6 +119,24 @@ def test_census_partition_failure_is_an_internal_error(capsys, monkeypatch):
     assert "scanned 0 of 64 representatives" in err
 
 
+def test_inadmissible_face_in_hilb1_is_an_internal_error(capsys, monkeypatch):
+    # hilb1 only asks for shift automorphisms of faces it built itself, so an
+    # InadmissibleFaceError there is a failed invariant, not bad input.  The
+    # package attribute hilb1 is the function, so fetch the module by name.
+    _hilb1 = importlib.import_module("qfermat.hilb1")
+
+    def broken(params, face, base):
+        raise _hilb1.InadmissibleFaceError(f"face {tuple(face)} has a nonvanishing triangle")
+
+    monkeypatch.setattr(_hilb1, "shift_automorphism", broken)
+    code = main(["hilb1", GENERIC4])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: internal: InadmissibleFaceError: face (")
+
+
 def test_census_small_n_is_an_input_error(capsys):
     code = main(["census", "--n", "2"])
     capsys.readouterr()
@@ -129,6 +148,15 @@ def test_bad_poly_is_an_input_error(capsys):
     err = capsys.readouterr().err
     assert code == EXIT_INPUT
     assert "x9" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "central"])
+def test_conductor_zero_is_an_input_error(capsys, command):
+    code = main([command, "--poly", "x2*x1", "--conductor", "0", SKEW5])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "conductor must be a positive multiple of n" in err
 
 
 def test_deeply_nested_poly_is_an_input_error(capsys):
@@ -256,6 +284,15 @@ def test_census_csv_sidecar(capsys, tmp_path):
     rows = out_csv.read_text(encoding="utf-8").strip().splitlines()
     assert rows[0].startswith("predicate")
     assert any(line.startswith("total,27") for line in rows[1:])
+
+
+def test_bad_workers_env_is_an_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("QFERMAT_WORKERS", "many")
+    code = main(["census", "--n", "3"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: QFERMAT_WORKERS must be an integer, got 'many'\n"
 
 
 def test_census_workers_env_default(capsys, monkeypatch):
