@@ -152,7 +152,6 @@ class CensusReport:
     dichotomy_counterexamples: tuple[int, ...]
     alternative_readings: Optional[dict]
     witnesses: tuple[QuantumParams, ...]
-    workers: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -243,7 +242,6 @@ def run_census(
         dichotomy_counterexamples=tuple(merged("dichotomy_bad_indices", _COUNTEREXAMPLE_CAP)),
         alternative_readings=alternative,
         witnesses=tuple(index_to_params(n, i) for i in merged("witness_indices", witness_limit)),
-        workers=workers,
     )
 
 

@@ -413,11 +413,6 @@ class Cyclotomic:
             "coords": [str(c) for c in self.coords],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Cyclotomic":
-        field = CycloField(int(data["conductor"]))
-        return field.element(Fraction(c) for c in data["coords"])
-
     def complex_embedding(self) -> complex:
         """Float approximation under zeta_m -> exp(2*pi*i/m); display only."""
         import cmath

@@ -36,6 +36,9 @@ from .qalgebra import (
     ALGEBRA_B,
     QuantumParams,
     SkewPoly,
+    _build,
+    _check_algebra,
+    _runs_phase,
     from_twist,
     validate_params,
 )
@@ -111,6 +114,16 @@ class PolyAst:
 # -- tokenizer ------------------------------------------------------------------------
 
 _DIGITS = "0123456789"
+_SYMBOLS = {
+    "w": "W",
+    "+": "PLUS",
+    "-": "MINUS",
+    "*": "STAR",
+    "/": "SLASH",
+    "^": "CARET",
+    "(": "LPAREN",
+    ")": "RPAREN",
+}
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -137,29 +150,8 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                 raise ParseError("expected generator index after 'x'", pos)
             tokens.append(("GEN", int(text[i + 1 : j]), pos))
             i = j
-        elif ch == "w":
-            tokens.append(("W", None, pos))
-            i += 1
-        elif ch == "+":
-            tokens.append(("PLUS", None, pos))
-            i += 1
-        elif ch == "-":
-            tokens.append(("MINUS", None, pos))
-            i += 1
-        elif ch == "*":
-            tokens.append(("STAR", None, pos))
-            i += 1
-        elif ch == "/":
-            tokens.append(("SLASH", None, pos))
-            i += 1
-        elif ch == "^":
-            tokens.append(("CARET", None, pos))
-            i += 1
-        elif ch == "(":
-            tokens.append(("LPAREN", None, pos))
-            i += 1
-        elif ch == ")":
-            tokens.append(("RPAREN", None, pos))
+        elif ch in _SYMBOLS:
+            tokens.append((_SYMBOLS[ch], None, pos))
             i += 1
         else:
             raise ParseError(f"unexpected character {ch!r}", pos)
@@ -327,39 +319,27 @@ def parse_poly(text: str, n: int, conductor: int) -> PolyAst:
     return _Parser(text, n, conductor).parse()
 
 
-def _factors_phase(params: QuantumParams, factors: tuple[Factor, ...]) -> int:
-    # Normal-order phase of the factor word, computed run-by-run so huge
-    # powers never expand into letters.  Same-generator runs contribute 0.
-    total = 0
-    for a in range(len(factors)):
-        fa = factors[a]
-        row = params.exps[fa.gen - 1]
-        for b in range(a + 1, len(factors)):
-            fb = factors[b]
-            if fa.gen > fb.gen:
-                total += fa.power * fb.power * row[fb.gen - 1]
-    return total % params.n
-
-
 def lower(ast: PolyAst, params: QuantumParams, algebra: str = ALGEBRA_B) -> SkewPoly:
     """Normal-order an AST into a SkewPoly, accumulating commutation phases."""
     if ast.n != params.n:
         raise ValueError(f"AST was parsed with n={ast.n}, params have n={params.n}")
+    _check_algebra(algebra)
+    if ast.conductor % params.n != 0:
+        raise ValueError(f"conductor {ast.conductor} does not contain the n-th roots of unity")
     field = CycloField(ast.conductor)
     scale = ast.conductor // params.n
-    terms: dict = {}
+    pairs = []
     for term in ast.terms:
-        md = [0] * params.n
-        for f in term.factors:
-            md[f.gen - 1] += f.power
+        if term.coeff.field is not field:
+            raise ValueError("coefficient from a different field")
+        phase, md = _runs_phase(params, [(f.gen, f.power) for f in term.factors])
+        if min(md) < 0:
+            raise ValueError(f"bad multidegree {md}")
         coeff = term.coeff
-        phase = _factors_phase(params, term.factors)
         if phase:
             coeff = coeff * field.zeta(scale * phase)
-        key = tuple(md)
-        prev = terms.get(key)
-        terms[key] = coeff if prev is None else prev + coeff
-    return SkewPoly(params, algebra, terms, field)
+        pairs.append((md, coeff))
+    return _build(params, algebra, field, pairs)
 
 
 # -- printers ------------------------------------------------------------------------
@@ -383,20 +363,7 @@ def _coeff_parts(c: Cyclotomic, has_factors: bool) -> tuple[bool, str]:
         if mag == 1:
             return neg, _wpow_str(k)
         return neg, f"({mag}*{_wpow_str(k)})"
-    parts = []
-    for k, v in nz:
-        mag = abs(v)
-        if k == 0:
-            body = str(mag)
-        elif mag == 1:
-            body = _wpow_str(k)
-        else:
-            body = f"{mag}*{_wpow_str(k)}"
-        if not parts:
-            parts.append(body if v > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if v > 0 else f"- {body}")
-    return False, "(" + " ".join(parts) + ")"
+    return False, "(" + c.basis_string() + ")"
 
 
 def print_poly(poly: SkewPoly) -> str:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
 from .cyclo import CycloField, Cyclotomic
@@ -24,10 +25,10 @@ from .qalgebra import (
     DiagAutomorphism,
     ParamsError,
     QuantumParams,
+    _sum_terms,
     fermat_element,
     is_central,
     product_of_generators,
-    validate_params,
 )
 
 __all__ = [
@@ -152,31 +153,29 @@ class ExtElement:
             raise ValueError(
                 f"conductor {field.conductor} lacks the 2n-th roots of unity"
             )
+        pairs = []
+        for mask, c in (terms or {}).items():
+            if not 0 <= mask < 1 << params.n:
+                raise ValueError(f"blade mask {mask} out of range")
+            if not isinstance(c, Cyclotomic):
+                c = field.from_rational(c)
+            pairs.append((mask, c))
         self.params = params
         self.field = field
-        clean: dict = {}
-        if terms:
-            top = 1 << params.n
-            for mask, c in terms.items():
-                if not 0 <= mask < top:
-                    raise ValueError(f"blade mask {mask} out of range")
-                if not isinstance(c, Cyclotomic):
-                    c = field.from_rational(c)
-                if not c.is_zero():
-                    prev = clean.get(mask)
-                    acc = c if prev is None else prev + c
-                    if acc.is_zero():
-                        clean.pop(mask, None)
-                    else:
-                        clean[mask] = acc
-        self._terms = clean
+        self._terms = _sum_terms(pairs)
+
+    def _with_pairs(self, pairs) -> "ExtElement":
+        # A result computed from checked operands: only summed, not re-checked.
+        e = object.__new__(ExtElement)
+        e.params = self.params
+        e.field = self.field
+        e._terms = _sum_terms(pairs)
+        return e
 
     @classmethod
     def generator(cls, params, j: int, field=None) -> "ExtElement":
         params._check_index(j)
-        e = cls(params, {}, field)
-        e._terms = {1 << (j - 1): e.field.one()}
-        return e
+        return cls(params, {1 << (j - 1): 1}, field)
 
     @classmethod
     def blade(cls, params, indices: Sequence[int], field=None) -> "ExtElement":
@@ -187,9 +186,7 @@ class ExtElement:
             if mask & bit:
                 raise ValueError(f"repeated index {j} in blade")
             mask |= bit
-        e = cls(params, {}, field)
-        e._terms = {mask: e.field.one()}
-        return e
+        return cls(params, {mask: 1}, field)
 
     @property
     def terms(self) -> dict:
@@ -207,18 +204,12 @@ class ExtElement:
         if not isinstance(other, ExtElement):
             return NotImplemented
         self._check(other)
-        merged = dict(self._terms)
-        for m, c in other._terms.items():
-            prev = merged.get(m)
-            merged[m] = c if prev is None else prev + c
-        return ExtElement(self.params, merged, self.field)
+        return self._with_pairs(chain(self._terms.items(), other._terms.items()))
 
     def scale(self, scalar) -> "ExtElement":
         if not isinstance(scalar, Cyclotomic):
             scalar = self.field.from_rational(scalar)
-        return ExtElement(
-            self.params, {m: c * scalar for m, c in self._terms.items()}, self.field
-        )
+        return self._with_pairs((m, c * scalar) for m, c in self._terms.items())
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
@@ -228,21 +219,14 @@ class ExtElement:
         self._check(other)
         # blade exponents count 2n-th roots; the field may be a larger one
         step = self.field.conductor // (2 * self.params.n)
-        out: dict = {}
+        pairs = []
         for s, cs in self._terms.items():
             for t, ct in other._terms.items():
                 r = _blade_exponent(self.params, s, t)
-                if r is None:
-                    continue
-                mask, e = r
-                val = cs * ct * self.field.zeta(step * e)
-                prev = out.get(mask)
-                acc = val if prev is None else prev + val
-                if acc.is_zero():
-                    out.pop(mask, None)
-                else:
-                    out[mask] = acc
-        return ExtElement(self.params, out, self.field)
+                if r is not None:
+                    mask, e = r
+                    pairs.append((mask, cs * ct * self.field.zeta(step * e)))
+        return self._with_pairs(pairs)
 
     def __eq__(self, other):
         if not isinstance(other, ExtElement):

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from itertools import chain
+from math import factorial, prod
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .cyclo import CycloField, Cyclotomic
 
@@ -151,6 +153,27 @@ def commutative_params(n: int) -> QuantumParams:
     return QuantumParams(n, tuple((0,) * n for _ in range(n)))
 
 
+def _check_algebra(algebra: str) -> None:
+    if algebra not in (ALGEBRA_A, ALGEBRA_B):
+        raise ValueError(f"algebra tag must be 'A' or 'B', got {algebra!r}")
+
+
+def _runs_phase(params: QuantumParams, runs) -> tuple[int, Multidegree]:
+    # Phase exponent (mod n) and multidegree of a word given as (generator,
+    # power) runs, so huge powers never expand into letters: each run of x_a
+    # crosses each later run of x_b with a > b once per pair of letters.
+    exps = params.exps
+    phase = 0
+    degs = [0] * params.n
+    for pos, (a, pa) in enumerate(runs):
+        degs[a - 1] += pa
+        row = exps[a - 1]
+        for b, pb in runs[pos + 1 :]:
+            if a > b:
+                phase += pa * pb * row[b - 1]
+    return phase % params.n, tuple(degs)
+
+
 def normal_order(params: QuantumParams, word: Iterable[int]) -> tuple[int, Multidegree]:
     """Phase exponent (mod n) and multidegree of a word in the generators.
 
@@ -159,19 +182,10 @@ def normal_order(params: QuantumParams, word: Iterable[int]) -> tuple[int, Multi
     """
     w = tuple(word)
     n = params.n
-    exps = params.exps
     for a in w:
         if not isinstance(a, int) or isinstance(a, bool) or not 1 <= a <= n:
             raise ValueError(f"word letter {a!r} out of range 1..{n}")
-    phase = 0
-    degs = [0] * n
-    for pos, a in enumerate(w):
-        degs[a - 1] += 1
-        row = exps[a - 1]
-        for b in w[pos + 1 :]:
-            if a > b:
-                phase += row[b - 1]
-    return phase % n, tuple(degs)
+    return _runs_phase(params, [(a, 1) for a in w])
 
 
 def _product_phase(exps, a: Multidegree, b: Multidegree) -> int:
@@ -188,28 +202,37 @@ def _product_phase(exps, a: Multidegree, b: Multidegree) -> int:
     return total
 
 
-def _reduce_terms_a(n: int, terms: dict) -> dict:
-    # Rewrite x_n^n -> -(x_1^n + ... + x_(n-1)^n) until every exponent of x_n
-    # is < n.  All x_k^n are central, so the rewrite touches no phases.
+def _reduce_pairs_a(n: int, pairs) -> Iterator[tuple[Multidegree, Cyclotomic]]:
+    # In A, x_n^n = -(x_1^n + ... + x_(n-1)^n) and every x_k^n is central, so
+    # x^a with a_n = q*n + r is, with no phases, the sum over compositions k
+    # of q of (-1)^q * multinomial(q; k) * x^(a + n*k) with x_n^r last.
+    for md, c in pairs:
+        q, r = divmod(md[n - 1], n)
+        if not q:
+            yield md, c
+            continue
+        for ks in iter_multidegrees(n - 1, q):
+            m = factorial(q) // prod(factorial(k) for k in ks) * (-1) ** q
+            coeff = c if m == 1 else -c if m == -1 else c * m
+            yield tuple(e + n * k for e, k in zip(md, ks)) + (r,), coeff
+
+
+def _sum_terms(pairs) -> dict:
+    """The stored form of (key, coefficient) pairs: coefficients of equal keys
+    summed, zero sums dropped.  SkewPoly and ExtElement keep their terms so."""
     out: dict = {}
-    stack = list(terms.items())
-    while stack:
-        md, c = stack.pop()
-        if md[n - 1] >= n:
-            base = list(md)
-            base[n - 1] -= n
-            for k in range(n - 1):
-                new = list(base)
-                new[k] += n
-                stack.append((tuple(new), -c))
-        else:
-            prev = out.get(md)
-            acc = c if prev is None else prev + c
-            if acc.is_zero():
-                out.pop(md, None)
-            else:
-                out[md] = acc
-    return out
+    for key, c in pairs:
+        prev = out.get(key)
+        out[key] = c if prev is None else prev + c
+    return {key: c for key, c in out.items() if not c.is_zero()}
+
+
+def _build(params: QuantumParams, algebra: str, field: CycloField, pairs) -> "SkewPoly":
+    # A result the package computed from checked operands: only the normal
+    # form is applied, the public constructor's checks are not repeated.
+    poly = object.__new__(SkewPoly)
+    poly._set(params, algebra, field, pairs)
+    return poly
 
 
 class SkewPoly:
@@ -229,37 +252,34 @@ class SkewPoly:
         terms: dict | None = None,
         field: CycloField | None = None,
     ):
-        if algebra not in (ALGEBRA_A, ALGEBRA_B):
-            raise ValueError(f"algebra tag must be 'A' or 'B', got {algebra!r}")
+        _check_algebra(algebra)
         if field is None:
             field = CycloField(params.n)
         elif field.conductor % params.n != 0:
             raise ValueError(
                 f"conductor {field.conductor} does not contain the n-th roots of unity"
             )
+        pairs = []
+        for md, c in (terms or {}).items():
+            md = tuple(md)
+            if len(md) != params.n or any(e < 0 for e in md):
+                raise ValueError(f"bad multidegree {md}")
+            if not isinstance(c, Cyclotomic):
+                c = field.from_rational(c)
+            elif c.field is not field:
+                raise ValueError("coefficient from a different field")
+            pairs.append((md, c))
+        self._set(params, algebra, field, pairs)
+
+    def _set(self, params, algebra, field, pairs) -> None:
+        # The normal form: in A the x_n^n rewrite first, then equal
+        # multidegrees summed and zeros dropped.
         self.params = params
         self.algebra = algebra
         self.field = field
-        clean: dict = {}
-        if terms:
-            for md, c in terms.items():
-                md = tuple(md)
-                if len(md) != params.n or any(e < 0 for e in md):
-                    raise ValueError(f"bad multidegree {md}")
-                if not isinstance(c, Cyclotomic):
-                    c = field.from_rational(c)
-                elif c.field is not field:
-                    raise ValueError("coefficient from a different field")
-                if not c.is_zero():
-                    prev = clean.get(md)
-                    acc = c if prev is None else prev + c
-                    if acc.is_zero():
-                        clean.pop(md, None)
-                    else:
-                        clean[md] = acc
-        if algebra == ALGEBRA_A and any(md[params.n - 1] >= params.n for md in clean):
-            clean = _reduce_terms_a(params.n, clean)
-        self._terms = clean
+        if algebra == ALGEBRA_A:
+            pairs = _reduce_pairs_a(params.n, pairs)
+        self._terms = _sum_terms(pairs)
 
     # -- constructors ---------------------------------------------------------
 
@@ -269,18 +289,16 @@ class SkewPoly:
 
     @classmethod
     def one(cls, params, algebra=ALGEBRA_B, field=None) -> "SkewPoly":
-        p = cls(params, algebra, {}, field)
-        p._terms = {(0,) * params.n: p.field.one()}
-        return p
+        field = field if field is not None else CycloField(params.n)
+        return cls.monomial(params, (0,) * params.n, field.one(), algebra, field)
 
     @classmethod
     def generator(cls, params, i: int, algebra=ALGEBRA_B, field=None) -> "SkewPoly":
         params._check_index(i)
         md = [0] * params.n
         md[i - 1] = 1
-        p = cls(params, algebra, {}, field)
-        p._terms = {tuple(md): p.field.one()}
-        return p
+        field = field if field is not None else CycloField(params.n)
+        return cls.monomial(params, md, field.one(), algebra, field)
 
     @classmethod
     def monomial(cls, params, multidegree, coeff=1, algebra=ALGEBRA_B, field=None) -> "SkewPoly":
@@ -319,21 +337,17 @@ class SkewPoly:
 
     # -- arithmetic ---------------------------------------------------------------
 
-    def _with_terms(self, terms: dict) -> "SkewPoly":
-        return SkewPoly(self.params, self.algebra, terms, self.field)
+    def _with_pairs(self, pairs) -> "SkewPoly":
+        return _build(self.params, self.algebra, self.field, pairs)
 
     def __add__(self, other):
         if not isinstance(other, SkewPoly):
             return NotImplemented
         self._check_compatible(other)
-        merged = dict(self._terms)
-        for md, c in other._terms.items():
-            prev = merged.get(md)
-            merged[md] = c if prev is None else prev + c
-        return self._with_terms(merged)
+        return self._with_pairs(chain(self._terms.items(), other._terms.items()))
 
     def __neg__(self):
-        return self._with_terms({md: -c for md, c in self._terms.items()})
+        return self._with_pairs((md, -c) for md, c in self._terms.items())
 
     def __sub__(self, other):
         if not isinstance(other, SkewPoly):
@@ -346,7 +360,7 @@ class SkewPoly:
                 raise AlgebraMismatchError("scalar from a different field")
         else:
             scalar = self.field.from_rational(scalar)
-        return self._with_terms({md: c * scalar for md, c in self._terms.items()})
+        return self._with_pairs((md, c * scalar) for md, c in self._terms.items())
 
     def __mul__(self, other):
         if isinstance(other, SkewPoly):
@@ -404,17 +418,15 @@ def multiply(f: SkewPoly, g: SkewPoly) -> SkewPoly:
     exps = f.params.exps
     field = f.field
     scale = field.conductor // n
-    out: dict = {}
+    pairs = []
     for a, ca in f._terms.items():
         for b, cb in g._terms.items():
             ph = _product_phase(exps, a, b) % n
             coeff = ca * cb
             if ph:
                 coeff = coeff * field.zeta(scale * ph)
-            key = tuple(x + y for x, y in zip(a, b))
-            prev = out.get(key)
-            out[key] = coeff if prev is None else prev + coeff
-    return SkewPoly(f.params, f.algebra, out, field)
+            pairs.append((tuple(x + y for x, y in zip(a, b)), coeff))
+    return _build(f.params, f.algebra, field, pairs)
 
 
 def reduce_a(poly: SkewPoly) -> SkewPoly:
@@ -423,7 +435,7 @@ def reduce_a(poly: SkewPoly) -> SkewPoly:
     Accepts a polynomial tagged either A (idempotent re-normalization) or B
     (interpreting its terms in the quotient).
     """
-    return SkewPoly(poly.params, ALGEBRA_A, poly._terms, poly.field)
+    return _build(poly.params, ALGEBRA_A, poly.field, poly._terms.items())
 
 
 def fermat_element(params: QuantumParams, algebra: str = ALGEBRA_B, field=None) -> SkewPoly:
@@ -471,14 +483,14 @@ class DiagAutomorphism:
         scalars = [
             s if s.field is poly.field else s.embed(poly.field) for s in self.scalars
         ]
-        out = {}
+        pairs = []
         for md, c in poly._terms.items():
             factor = poly.field.one()
             for j, e in enumerate(md):
                 if e:
                     factor = factor * scalars[j] ** e
-            out[md] = c * factor
-        return SkewPoly(poly.params, poly.algebra, out, poly.field)
+            pairs.append((md, c * factor))
+        return _build(poly.params, poly.algebra, poly.field, pairs)
 
     def to_json(self) -> dict:
         return {"scalars": [s.to_json() for s in self.scalars]}
@@ -534,10 +546,6 @@ def graded_dimension(params: QuantumParams, algebra: str, degree: int) -> int:
     """Dimension of the degree-d graded piece, by counting PBW basis monomials."""
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    if algebra == ALGEBRA_B:
-        cap = None
-    elif algebra == ALGEBRA_A:
-        cap = params.n
-    else:
-        raise ValueError(f"algebra tag must be 'A' or 'B', got {algebra!r}")
+    _check_algebra(algebra)
+    cap = params.n if algebra == ALGEBRA_A else None
     return sum(1 for _ in iter_multidegrees(params.n, degree, cap))

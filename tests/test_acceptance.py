@@ -11,12 +11,11 @@ the full numbers; nothing is adjusted to force a green line.
 
 import random
 import time
-from math import comb
 
 from qfermat.census import run_census
 from qfermat.cyclo import CycloField
 from qfermat.expr import lower, parse_poly, print_poly
-from qfermat.hilb1 import euler_number_n4, face_complex, hilb1, is_generic
+from qfermat.hilb1 import euler_number_n4, face_complex, hilb1
 from qfermat.koszulcy import (
     column_sums,
     compare_frobenius,

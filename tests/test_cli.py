@@ -255,6 +255,15 @@ def test_eval_normal_orders_the_expression(capsys):
     assert "x1*x2" in out
 
 
+def test_poly_starting_with_minus_must_be_attached_with_equals(capsys):
+    code, out = run(capsys, "eval", "--poly=-x1", SKEW5)
+    assert (code, out) == (EXIT_TRUE, "-x1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--poly", "-x1", SKEW5])
+    assert exc.value.code == EXIT_INPUT
+    assert "argument --poly: expected one argument" in capsys.readouterr().err
+
+
 def test_eval_json_round_trips_through_the_parser(capsys):
     code, blob = run_json(capsys, "eval", "--poly", "x2*x1 + 2*x3^2", SKEW5)
     assert code == EXIT_TRUE

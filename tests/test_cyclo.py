@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qfermat.cyclo import (
-    Cyclotomic,
     CycloField,
     FieldMismatchError,
     cyclotomic_polynomial,

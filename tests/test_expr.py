@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 
 from qfermat.cyclo import CycloField
 from qfermat.expr import (
+    Factor,
     ParamsDocError,
     ParseError,
+    PolyAst,
+    PolyTerm,
     lower,
     parse_params,
     parse_poly,
@@ -24,7 +27,6 @@ from qfermat.qalgebra import (
     fermat_element,
     from_twist,
     multiply,
-    validate_params,
 )
 
 from _util import params_st, random_params
@@ -255,3 +257,32 @@ def test_print_params_is_canonical_json():
     text = print_params(p)
     assert json.loads(text) == {"n": 3, "exponents": [[0, 1, 1], [2, 0, 0], [2, 0, 0]]}
     assert print_params(parse_params(text)) == text
+
+
+# ------------------------------------------------------------------- lowering
+
+
+def test_lower_rejects_an_unknown_tag_and_a_hand_built_ast_it_cannot_lower():
+    p = from_twist([0, 1, 2])
+    with pytest.raises(ValueError, match="algebra tag must be 'A' or 'B', got 'C'"):
+        lower(parse_poly("x1", 3, 3), p, "C")
+    x1 = (Factor(1, 1),)
+    with pytest.raises(ValueError, match="conductor 4 does not contain the n-th roots"):
+        lower(PolyAst(3, 4, (PolyTerm(CycloField(4).one(), x1),)), p)
+    with pytest.raises(ValueError, match="coefficient from a different field"):
+        lower(PolyAst(3, 3, (PolyTerm(CycloField(6).one(), x1),)), p)
+    with pytest.raises(ValueError, match=r"bad multidegree \(-1, 0, 0\)"):
+        lower(PolyAst(3, 3, (PolyTerm(CycloField(3).one(), (Factor(1, -1),)),)), p)
+
+
+def test_huge_powers_lower_by_the_closed_form_phase():
+    # n = 17, so 10^6 * 999999 * e_21 is not 0 mod n; the word is never
+    # expanded into letters.
+    d = [0] * 17
+    d[1] = 1
+    p = from_twist(d)
+    low = lower(parse_poly("x2^1000000*x1^999999", 17, 17), p, "A")
+    md = (999999, 1000000) + (0,) * 15
+    phase = 1000000 * 999999 * p.exponent(2, 1) % 17
+    assert phase == 4
+    assert low.terms == {md: CycloField(17).zeta(phase)}

@@ -1,6 +1,5 @@
 """Point modules: triangles, face complexes, shift orbits, point counts."""
 
-import random
 from itertools import combinations
 from math import comb, gcd
 
@@ -29,7 +28,7 @@ from qfermat.hilb1 import (
 from qfermat.qalgebra import commutative_params, from_twist, validate_params
 
 import _oracles
-from _util import params_st, random_params
+from _util import params_st
 
 INTERMEDIATE_4 = validate_params(4, [[0, 0, 0, 1], [0, 0, 0, 2], [0, 0, 0, 3], [3, 2, 1, 0]])
 

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qfermat.cyclo import CycloField
+from qfermat.expr import lower, parse_poly
 from qfermat.qalgebra import (
     ALGEBRA_A,
     ALGEBRA_B,
@@ -252,6 +253,67 @@ def test_fermat_element_vanishes_in_the_quotient():
         p = random_params(n, random.Random(n))
         assert fermat_element(p, algebra=ALGEBRA_A).is_zero()
         assert not fermat_element(p, algebra=ALGEBRA_B).is_zero()
+
+
+# ------------------------------------------- constructor checks and normal form
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((ALGEBRA_B, {(1, 0): 1}), r"bad multidegree \(1, 0\)"),
+        ((ALGEBRA_B, {(1, -1, 0): 1}), r"bad multidegree \(1, -1, 0\)"),
+        ((ALGEBRA_B, {(1, 0, 0): CycloField(6).one()}), "coefficient from a different field"),
+        (("C", {}), "algebra tag must be 'A' or 'B', got 'C'"),
+        ((ALGEBRA_A, {}, CycloField(4)), "conductor 4 does not contain the n-th roots of unity"),
+    ],
+    ids=["short-multidegree", "negative-multidegree", "foreign-field", "tag-C", "no-nth-roots"],
+)
+def test_constructor_rejects_bad_input(args, message):
+    with pytest.raises(ValueError, match=message):
+        SkewPoly(commutative_params(3), *args)
+
+
+def _word_text(coeff, word):
+    return "*".join([str(coeff)] + [f"x{g}" for g in word])
+
+
+@given(params_st(min_n=2, max_n=4), st.sampled_from([ALGEBRA_A, ALGEBRA_B]), st.data())
+def test_every_built_result_is_in_normal_form(p, algebra, data):
+    field = CycloField(p.n)
+    f = data.draw(small_poly(p, algebra=algebra))
+    g = data.draw(small_poly(p, algebra=algebra))
+    raw = SkewPoly(p, ALGEBRA_B, {data.draw(multidegree_st(p.n, max_entry=2 * p.n)): 1})
+    root = st.integers(0, p.n - 1).map(field.zeta)
+    nu = DiagAutomorphism(p, tuple(data.draw(root) for _ in range(p.n)))
+    word = st.lists(st.integers(1, p.n), max_size=3 * p.n)
+    words = data.draw(st.lists(st.tuples(st.integers(1, 3), word), min_size=1, max_size=3))
+    text = " - ".join(_word_text(c, w) for c, w in words)
+    results = {
+        "multiply": multiply(f, g),
+        "+": f + g,
+        "-": f - g,
+        "scale": f.scale(data.draw(root) * data.draw(st.integers(-2, 2))),
+        "reduce_a": reduce_a(raw + f if algebra == ALGEBRA_B else raw),
+        "lower": lower(parse_poly(text, p.n, p.n), p, algebra),
+        "apply": nu.apply(f),
+    }
+    for name, r in results.items():
+        assert r == SkewPoly(p, r.algebra, r.terms, r.field), name
+        assert all(not c.is_zero() for c in r.terms.values()), name
+        if r.algebra == ALGEBRA_A:
+            assert all(md[-1] < p.n for md in r.terms), name
+
+
+def test_reduction_of_a_high_power_is_the_multinomial_expansion():
+    # x3^(3q+1) = (-1)^q (x1^3 + x2^3)^q x3 in A with n = 3; the expansion
+    # has q + 1 terms, so q = 301 finishes at once.
+    p = random_params(3, random.Random(4))
+    poly = SkewPoly.monomial(p, (0, 0, 904), algebra=ALGEBRA_A)
+    field = CycloField(3)
+    assert poly.terms == {
+        (3 * k, 903 - 3 * k, 1): field.from_rational(-comb(301, k)) for k in range(302)
+    }
 
 
 # ------------------------------------------------------------------ centrality
