@@ -164,18 +164,11 @@ class ExtElement:
         self.field = field
         self._terms = _sum_terms(pairs)
 
-    def _with_pairs(self, pairs) -> "ExtElement":
-        # A result computed from checked operands: only summed, not re-checked.
-        e = object.__new__(ExtElement)
-        e.params = self.params
-        e.field = self.field
-        e._terms = _sum_terms(pairs)
-        return e
-
     @classmethod
     def generator(cls, params, j: int, field=None) -> "ExtElement":
         params._check_index(j)
-        return cls(params, {1 << (j - 1): 1}, field)
+        field = field if field is not None else CycloField(2 * params.n)
+        return cls(params, {1 << (j - 1): field.one()}, field)
 
     @classmethod
     def blade(cls, params, indices: Sequence[int], field=None) -> "ExtElement":
@@ -186,7 +179,8 @@ class ExtElement:
             if mask & bit:
                 raise ValueError(f"repeated index {j} in blade")
             mask |= bit
-        return cls(params, {mask: 1}, field)
+        field = field if field is not None else CycloField(2 * params.n)
+        return cls(params, {mask: field.one()}, field)
 
     @property
     def terms(self) -> dict:
@@ -204,12 +198,14 @@ class ExtElement:
         if not isinstance(other, ExtElement):
             return NotImplemented
         self._check(other)
-        return self._with_pairs(chain(self._terms.items(), other._terms.items()))
+        pairs = chain(self._terms.items(), other._terms.items())
+        return ExtElement(self.params, _sum_terms(pairs), self.field)
 
     def scale(self, scalar) -> "ExtElement":
         if not isinstance(scalar, Cyclotomic):
             scalar = self.field.from_rational(scalar)
-        return self._with_pairs((m, c * scalar) for m, c in self._terms.items())
+        pairs = ((m, c * scalar) for m, c in self._terms.items())
+        return ExtElement(self.params, _sum_terms(pairs), self.field)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
@@ -226,7 +222,7 @@ class ExtElement:
                 if r is not None:
                     mask, e = r
                     pairs.append((mask, cs * ct * self.field.zeta(step * e)))
-        return self._with_pairs(pairs)
+        return ExtElement(self.params, _sum_terms(pairs), self.field)
 
     def __eq__(self, other):
         if not isinstance(other, ExtElement):

@@ -337,17 +337,16 @@ class SkewPoly:
 
     # -- arithmetic ---------------------------------------------------------------
 
-    def _with_pairs(self, pairs) -> "SkewPoly":
-        return _build(self.params, self.algebra, self.field, pairs)
-
     def __add__(self, other):
         if not isinstance(other, SkewPoly):
             return NotImplemented
         self._check_compatible(other)
-        return self._with_pairs(chain(self._terms.items(), other._terms.items()))
+        pairs = chain(self._terms.items(), other._terms.items())
+        return _build(self.params, self.algebra, self.field, pairs)
 
     def __neg__(self):
-        return self._with_pairs((md, -c) for md, c in self._terms.items())
+        pairs = ((md, -c) for md, c in self._terms.items())
+        return _build(self.params, self.algebra, self.field, pairs)
 
     def __sub__(self, other):
         if not isinstance(other, SkewPoly):
@@ -360,7 +359,8 @@ class SkewPoly:
                 raise AlgebraMismatchError("scalar from a different field")
         else:
             scalar = self.field.from_rational(scalar)
-        return self._with_pairs((md, c * scalar) for md, c in self._terms.items())
+        pairs = ((md, c * scalar) for md, c in self._terms.items())
+        return _build(self.params, self.algebra, self.field, pairs)
 
     def __mul__(self, other):
         if isinstance(other, SkewPoly):

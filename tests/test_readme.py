@@ -2,7 +2,8 @@
 
 Every line of the README that starts with a parameter document parses, and
 every `$ qfermat ...` example replays through `cli.main` with exit code 0.
-Its stdout is compared in full unless the README elides it with `...`.
+Its stdout is compared in full unless the README elides it with `...`; then
+each JSON member shown between the dots must be in the output.
 """
 
 import json
@@ -56,3 +57,9 @@ def test_examples_replay(argv, shown, capsys, monkeypatch, tmp_path):
     assert code == EXIT_TRUE
     if "..." not in shown:
         assert out == shown
+        return
+    got = json.loads(out)
+    for fragment in shown.split("..."):
+        members = fragment.strip().strip("{},").strip()
+        if members:
+            assert json.loads("{" + members + "}").items() <= got.items()
