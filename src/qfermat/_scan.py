@@ -1,19 +1,31 @@
-"""Vectorized block scanner behind the census (the only module using numpy).
+"""Vectorized scanner behind the census (the only module using numpy).
 
 ``census.run_census`` and ``census.find_witness`` import this module when
 they start, before any worker process is forked, so the workers inherit
 numpy instead of importing it again, and code that never scans never loads
 numpy.
+
+Rows are the full counter digits of zero-first-row representatives, taken
+from one of three streams, each in increasing canonical index:
+
+* ``"cy"``: the free digits e_bc, 2 <= b < c <= n-1 (1-based), in counter
+  order, with each e_jn solved from column j:
+  e_jn = sum_(1<i<j) e_ij - sum_(j<k<n) e_jk.  These are exactly the CY
+  representatives, and every solved digit depends only on earlier digits;
+* ``"nonzero"``: lower digits all nonzero, a base n-1 counter shifted by one;
+  it holds every generic representative;
+* ``"all"``: every representative.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 from typing import Callable, Optional
 
 import numpy as np
 
-from .census import _COUNTEREXAMPLE_CAP, _pairs, _triples
+from .census import _COUNTEREXAMPLE_CAP, _lower_width, _pairs, _triples
 
 
 @lru_cache(maxsize=None)
@@ -41,13 +53,46 @@ def _triangle_matrix(n: int) -> np.ndarray:
     return m
 
 
-def decode_block(n: int, start: int, stop: int) -> np.ndarray:
-    t = n * (n - 1) // 2
+@lru_cache(maxsize=None)
+def _cy_solver(n: int) -> np.ndarray:
+    # Full digits from the CY stream's free digits (0-based 1 <= b < c <= n-2);
+    # the first row stays zero and e_j(n-1) is solved from column j's sum.
+    pos = {p: k for k, p in enumerate(_pairs(n))}
+    free = [(b, c) for b, c in _pairs(n) if b >= 1 and c <= n - 2]
+    m = np.zeros((len(free), len(pos)), dtype=np.int64)
+    for f, (b, c) in enumerate(free):
+        m[f, pos[(b, c)]] = 1
+        m[f, pos[(b, n - 1)]] -= 1
+        m[f, pos[(c, n - 1)]] += 1
+    return m
+
+
+def _counter(start: int, stop: int, base: int, width: int) -> np.ndarray:
+    # Base-`base` digits of start .. stop - 1, most significant first.
     x = np.arange(start, stop, dtype=np.int64)
-    digits = np.empty((stop - start, t), dtype=np.int64)
-    for k in range(t - 1, -1, -1):
-        digits[:, k] = x % n
-        x //= n
+    digits = np.empty((stop - start, width), dtype=np.int64)
+    for k in range(width - 1, -1, -1):
+        x, digits[:, k] = np.divmod(x, base)
+    return digits
+
+
+def stream_length(n: int, stream: str) -> int:
+    """The number of rows in a representative stream."""
+    if stream == "cy":
+        return n ** comb(n - 2, 2)
+    return (n - 1 if stream == "nonzero" else n) ** _lower_width(n)
+
+
+def stream_rows(n: int, stream: str, start: int, stop: int) -> np.ndarray:
+    """Full digit rows at positions start .. stop - 1 of a representative stream."""
+    if stream == "cy":
+        return (_counter(start, stop, n, comb(n - 2, 2)) @ _cy_solver(n)) % n
+    width = _lower_width(n)
+    digits = np.zeros((stop - start, n - 1 + width), dtype=np.int64)
+    if stream == "nonzero":
+        digits[:, n - 1 :] = _counter(start, stop, n - 1, width) + 1
+    else:
+        digits[:, n - 1 :] = _counter(start, stop, n, width)
     return digits
 
 
@@ -60,6 +105,25 @@ def predicate_masks(n: int, digits: np.ndarray) -> dict[str, np.ndarray]:
         "generic": (tris != 0).all(axis=1),
         "full": (tris == 0).all(axis=1),
     }
+
+
+def generic_classes(n: int) -> int:
+    """The number of generic representatives, by peeling the last vertex.
+
+    On a representative t(1,b,c) = e_bc, so generic means every lower digit
+    is nonzero and every triangle on vertices 2..n is nonzero.  For each
+    generic labelling e of the base on vertices 2..n-1, the last column
+    x_a = e_an must be nonzero with x_a - x_b != e_ab for every base edge.
+    """
+    m = n - 2
+    edges = comb(m, 2)
+    base = _counter(0, (n - 1) ** edges, n - 1, edges) + 1
+    base = base[((base @ _triangle_matrix(m)) % n != 0).all(axis=1)]
+    x = _counter(0, (n - 1) ** m, n - 1, m) + 1
+    ok = np.ones((len(base), len(x)), dtype=bool)
+    for k, (a, b) in enumerate(_pairs(m)):
+        ok &= ((x[:, a] - x[:, b]) % n)[None, :] != base[:, k : k + 1]
+    return int(ok.sum())
 
 
 def lift(
@@ -93,9 +157,9 @@ def lift(
 
 
 def scan_block(args) -> dict:
-    """Class tallies and lifted indices for representatives start .. stop - 1."""
+    """Class tallies and lifted indices for CY stream positions start .. stop - 1."""
     n, start, stop, witness_limit = args
-    digits = decode_block(n, start, stop)
+    digits = stream_rows(n, "cy", start, stop)
     masks = predicate_masks(n, digits)
     cy, generic = masks["cy"], masks["generic"]
     both = cy & generic
@@ -104,8 +168,6 @@ def scan_block(args) -> dict:
     both_lower = lower[both]
     return {
         "scanned": stop - start,
-        "cy": int(cy.sum()),
-        "generic": int(generic.sum()),
         "both": int(both.sum()),
         "dichotomy_bad": int(dichotomy_bad.sum()),
         "implication_bad_indices": lift(
@@ -118,8 +180,10 @@ def scan_block(args) -> dict:
     }
 
 
-def first_match(n: int, start: int, stop: int, wanted) -> Optional[int]:
-    """The first representative in start .. stop - 1 meeting every predicate."""
-    masks = predicate_masks(n, decode_block(n, start, stop))
+def first_match(n: int, stream: str, start: int, stop: int, wanted) -> Optional[tuple[int, ...]]:
+    """The digits of the first row at stream positions start .. stop - 1 that
+    meets every predicate."""
+    digits = stream_rows(n, stream, start, stop)
+    masks = predicate_masks(n, digits)
     hits = np.flatnonzero(np.logical_and.reduce([masks[p] for p in wanted]))
-    return start + int(hits[0]) if hits.size else None
+    return tuple(int(d) for d in digits[hits[0]]) if hits.size else None

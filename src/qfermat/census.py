@@ -9,12 +9,24 @@ shifts every column sum by sum(d), so the CY, generic and full predicates are
 constant on twist classes.  Each class of n^(n-1) matrices has exactly one
 member with a zero first row, and it is the member with the smallest index.
 The first row holds the most significant counter digits, so these
-representatives are exactly the index prefix 0 .. n^((n-1)(n-2)/2) - 1, and
-only that prefix is scanned.  The scanner (``_scan``) vectorizes the
-predicates over blocks of it with numpy; blocks partition the prefix, so
-parallel workers own disjoint sub-ranges.  Only the scanning entry points
-import ``_scan``, and they do so before any worker is started, so importing
-this module, the package or its CLI does not load numpy.
+representatives are exactly the index prefix 0 .. n^((n-1)(n-2)/2) - 1.
+
+Work is done only on the representatives that can answer; ``_scan`` lists
+them as streams in canonical order and vectorizes the predicates with numpy:
+
+* a representative is CY when every column sums to 0, and solving each e_jn
+  from its column leaves C(n-2,2) free digits, so count_cy is
+  n^(C(n-2,2) + n-1) in closed form;
+* generic-and-CY tallies, counterexamples and witnesses come from a scan of
+  the CY stream only, in blocks that partition it, so parallel workers own
+  disjoint sub-ranges;
+* count_generic comes from peeling the last vertex (``_scan.generic_classes``);
+* a witness search scans the narrowest stream holding every possible match
+  and stops at the first hit.
+
+Only the scanning entry points import ``_scan``, and they do so before any
+worker is started, so importing this module, the package or its CLI does not
+load numpy.
 
 Results are lifted back to all matrices exactly:
 
@@ -186,11 +198,12 @@ def run_census(
     witness_limit: int = 3,
     block_size: int = 1 << 19,
 ) -> CensusReport:
-    """Scan one representative per twist class, check the claims, and lift
+    """Count the CY classes in closed form and the generic classes by a
+    vertex peel, scan the CY representatives, check the claims, and lift
     counts, witnesses and counterexamples to the whole space.
 
     The report does not depend on worker count or block size: blocks
-    partition the representatives, per-block tallies are summed, and each
+    partition the CY representatives, per-block tallies are summed, and each
     block's smallest lifted indices are merged smallest-first.
     """
     _check_n(n)
@@ -202,7 +215,7 @@ def run_census(
         raise ValueError(f"block_size must be >= 1, got {block_size}")
     from . import _scan
 
-    reps = n ** _lower_width(n)
+    reps = _scan.stream_length(n, "cy")
     tasks = [(n, s, e, witness_limit) for s, e in _blocks(reps, block_size)]
     if workers == 1 or len(tasks) == 1:
         results = [_scan.scan_block(t) for t in tasks]
@@ -212,7 +225,7 @@ def run_census(
 
     scanned = sum(r["scanned"] for r in results)
     if scanned != reps:
-        raise RuntimeError(f"scanned {scanned} of {reps} representatives")  # partition bug
+        raise RuntimeError(f"scanned {scanned} of {reps} CY representatives")  # partition bug
 
     def merged(key: str, limit: int) -> list[int]:
         return sorted(i for r in results for i in r[key])[:limit]
@@ -221,7 +234,7 @@ def run_census(
     zero_sum_twists = n ** (n - 2)
     both_classes = sum(r["both"] for r in results)
     both = both_classes * twists
-    count_generic = sum(r["generic"] for r in results) * twists
+    count_generic = _scan.generic_classes(n) * twists
     dichotomy_bad = sum(r["dichotomy_bad"] for r in results)
 
     alternative = None
@@ -233,7 +246,7 @@ def run_census(
     return CensusReport(
         n=n,
         total=total_count(n),
-        count_cy=sum(r["cy"] for r in results) * twists,
+        count_cy=reps * twists,
         count_generic=count_generic,
         count_generic_and_cy=both,
         all_generic_cy_have_zero_column_sums=both_classes * (twists - zero_sum_twists) == 0,
@@ -267,7 +280,9 @@ def find_witness(n: int, predicates: Sequence[str]) -> Optional[QuantumParams]:
     condition and the full face complex coincide).  Returns None when the
     space contains no match.  The predicates are constant on twist classes
     and each class's first member is its zero-first-row representative, so
-    only the representatives are scanned.
+    only representatives are scanned: the CY ones when cy is wanted, else
+    those with nonzero lower digits when generic is wanted, else all of them.
+    Chunks grow up to 2^19 rows, and the search stops at the first hit.
     """
     _check_n(n)
     wanted = set()
@@ -280,10 +295,17 @@ def find_witness(n: int, predicates: Sequence[str]) -> Optional[QuantumParams]:
         wanted.add(key)
     if not wanted:
         raise ValueError("at least one predicate required")
+    if {"generic", "full"} <= wanted:
+        return None  # triangle (1,2,3) cannot be both zero and nonzero
+    stream = "cy" if "cy" in wanted else "nonzero" if "generic" in wanted else "all"
     from . import _scan
 
-    for start, stop in _blocks(n ** _lower_width(n), 1 << 19):
-        hit = _scan.first_match(n, start, stop, wanted)
+    length = _scan.stream_length(n, stream)
+    start, size = 0, 1 << 6
+    while start < length:
+        stop = min(start + size, length)
+        hit = _scan.first_match(n, stream, start, stop, wanted)
         if hit is not None:
-            return index_to_params(n, hit)
+            return QuantumParams(n, _digits_to_exps(n, hit))
+        start, size = stop, min(2 * size, 1 << 19)
     return None

@@ -301,7 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command line, mapping failures to the exit-code contract."""
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has written its usage error (status 2) or help (status 0).
+        return EXIT_INPUT if exc.code else EXIT_TRUE
     try:
         return args.handler(args)
     except CapacityError as exc:

@@ -480,6 +480,8 @@ class DiagAutomorphism:
         return all(s == first for s in self.scalars[1:])
 
     def apply(self, poly: SkewPoly) -> SkewPoly:
+        if poly.params != self.params:
+            raise ValueError("the automorphism and the polynomial have different parameters")
         scalars = [
             s if s.field is poly.field else s.embed(poly.field) for s in self.scalars
         ]

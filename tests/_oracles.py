@@ -2,15 +2,19 @@
 
 Everything here is written the slow, obvious way, on purpose: adjacent-swap
 bubble sorts, full word expansion, direct subset sweeps, literal root-of-unity
-products, and a census sweep over every matrix with no twist quotient.  None
-of it shares code with the package under test; `enumerate_params` only wraps
-its matrices with the package's validator.
+products, a census sweep over every matrix with no twist quotient, and an
+inclusion-exclusion count over the triangle hyperplanes.  None of it shares
+code with the package under test, with two exceptions: `enumerate_params`
+only wraps its matrices with the package's validator, and the
+representative-scan oracle reuses the scanner's predicate masks and lift,
+because it checks which rows the census visits, not what the predicates
+mean.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb
+from math import comb, gcd, prod
 
 import numpy as np
 
@@ -367,6 +371,129 @@ def _raw_sweep(n, keep):
         for key, hits in first.items():
             hits.extend(start + int(h) for h in np.flatnonzero(masks[key])[:keep])
     return tally, {key: hits[:keep] for key, hits in first.items()}
+
+
+def representative_digits(n, start, stop):
+    """Full counter digits of the census indices start .. stop - 1; below
+    n^((n-1)(n-2)/2) these are the zero-first-row representatives."""
+    t = n * (n - 1) // 2
+    x = np.arange(start, stop, dtype=np.int64)
+    digits = np.empty((stop - start, t), dtype=np.int64)
+    for k in range(t - 1, -1, -1):
+        digits[:, k] = x % n
+        x //= n
+    return digits
+
+
+def representative_scan(n, witness_limit):
+    """Class tallies and lifted indices from a scan of every twist-class
+    representative, the census route before the CY stream and the vertex
+    peel.  n = 5 takes milliseconds, n = 6 about a minute."""
+    from qfermat._scan import lift, predicate_masks
+
+    digits = representative_digits(n, 0, n ** ((n - 1) * (n - 2) // 2))
+    masks = predicate_masks(n, digits)
+    cy, generic = masks["cy"], masks["generic"]
+    both = cy & generic
+    dichotomy_bad = cy & ~masks["full"] & ~generic
+    lower = digits[:, n - 1 :]
+    return {
+        "cy_rows": digits[cy],
+        "cy": int(cy.sum()),
+        "generic": int(generic.sum()),
+        "both": int(both.sum()),
+        "implication_bad_indices": lift(n, lower[both], 10, lambda r: sum(r) % n != 0),
+        "dichotomy_bad_indices": lift(n, lower[dichotomy_bad], 10) if n == 4 else [],
+        "witness_indices": lift(n, lower[both], witness_limit),
+    }
+
+
+def representative_first_match(n, wanted):
+    """Index of the first representative meeting every predicate in
+    `wanted`, scanning every representative in blocks; None if none does."""
+    from qfermat._scan import predicate_masks
+
+    reps = n ** ((n - 1) * (n - 2) // 2)
+    for start in range(0, reps, 1 << 19):
+        masks = predicate_masks(n, representative_digits(n, start, min(start + (1 << 19), reps)))
+        hits = np.flatnonzero(np.logical_and.reduce([masks[p] for p in wanted]))
+        if hits.size:
+            return start + int(hits[0])
+    return None
+
+
+def _diagonal_form(rows):
+    """Diagonal entries of an integer matrix after unimodular row and column
+    operations (a diagonalization, not necessarily the Smith form: the
+    solution count below needs no divisibility chain)."""
+    a = [list(r) for r in rows if any(r)]
+    out = []
+    while a:
+        i, j = min(
+            ((i, j) for i, r in enumerate(a) for j, v in enumerate(r) if v),
+            key=lambda ij: abs(a[ij[0]][ij[1]]),
+        )
+        a[0], a[i] = a[i], a[0]
+        for r in a:
+            r[0], r[j] = r[j], r[0]
+        p = a[0][0]
+        done = True
+        for r in a[1:]:
+            q = r[0] // p
+            r[:] = [x - q * y for x, y in zip(r, a[0])]
+            done = done and r[0] == 0
+        for k in range(1, len(a[0])):
+            q = a[0][k] // p
+            for r in a:
+                r[k] -= q * r[0]
+            done = done and a[0][k] == 0
+        if done:
+            out.append(p)
+            a = [r[1:] for r in a[1:] if any(r[1:])]
+    return out
+
+
+def _solutions_mod(rows, width, n):
+    """Solutions x in (Z/n)^width of rows . x = 0 mod n: with the system in
+    diagonal form d_1..d_r, the count is prod gcd(d_i, n) * n^(width - r)."""
+    diag = _diagonal_form(rows)
+    return prod(gcd(d, n) for d in diag) * n ** (width - len(diag))
+
+
+def hyperplane_class_counts(n):
+    """Generic and generic-and-CY twist classes by inclusion-exclusion over
+    the C(n,3) triangle hyperplanes t(a,b,c) = 0 of the representative space
+    (lower digits e_bc, 2 <= b < c <= n; the first row is zero): the classes
+    avoiding every hyperplane number sum over subsets S of (-1)^|S| times the
+    solutions of the equations in S.  The CY count adds the column-sum
+    equations s_j = 0 to every system.  Pure Python; n = 5 takes well under
+    a second, n = 6 about nine minutes."""
+    lower = [(b, c) for b, c in combinations(range(n), 2) if b > 0]
+    width = len(lower)
+    pos = {p: k for k, p in enumerate(lower)}
+
+    def form(terms):
+        row = [0] * width
+        for sign, (i, j) in terms:
+            if i > 0:
+                row[pos[(i, j)]] += sign
+        return row
+
+    triangles = [
+        form([(1, (a, b)), (1, (b, c)), (-1, (a, c))])
+        for a, b, c in combinations(range(n), 3)
+    ]
+    colsums = [
+        form([(1, (i, j)) for i in range(j)] + [(-1, (j, k)) for k in range(j + 1, n)])
+        for j in range(1, n)
+    ]
+    generic = both = 0
+    for size in range(len(triangles) + 1):
+        for subset in combinations(triangles, size):
+            sign = (-1) ** size
+            generic += sign * _solutions_mod(subset, width, n)
+            both += sign * _solutions_mod(list(subset) + colsums, width, n)
+    return {"generic": generic, "generic_and_cy": both}
 
 
 def laurent_commutation(exps, u, v):

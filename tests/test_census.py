@@ -3,12 +3,16 @@
 import json
 import random
 from itertools import combinations, product
+from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qfermat import _scan
+from qfermat._scan import lift
 from qfermat.census import (
     CENSUS_MAX_N,
     CENSUS_MIN_N,
@@ -20,7 +24,7 @@ from qfermat.census import (
     run_census,
     total_count,
 )
-from qfermat._scan import lift
+from qfermat.cli import main
 from qfermat.hilb1 import face_complex, hilb1, is_generic
 from qfermat.koszulcy import column_sums, cy_criterion, is_twist_realizable
 
@@ -110,12 +114,12 @@ def test_tallies_match_the_scalar_second_pass(census3, census4):
 
 
 def test_tallies_are_worker_count_invariant():
-    """n = 5 has 15,625 representatives: 16 blocks of 1024, so the merge
+    """n = 6 has 46,656 CY representatives: 12 blocks of 4096, so the merge
     sees many blocks and workers > 1 start a pool.  The default block size
     scans them in one block."""
-    one_block = json.dumps(run_census(5).to_json_dict())
+    one_block = json.dumps(run_census(6).to_json_dict())
     for workers in (1, 2, 8):
-        other = run_census(5, workers=workers, block_size=1024).to_json_dict()
+        other = run_census(6, workers=workers, block_size=4096).to_json_dict()
         assert json.dumps(other) == one_block
 
 
@@ -127,6 +131,71 @@ def test_report_matches_the_raw_sweep(n, witness_limit):
     for byte the report of a sweep over every matrix."""
     report = run_census(n, witness_limit=witness_limit).to_json_dict()
     assert json.dumps(report) == json.dumps(_oracles.raw_census_json(n, witness_limit))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_report_matches_the_representative_scan(n):
+    """Tallies, counterexamples and witnesses from the CY stream and the
+    vertex peel equal those of a scan of every representative."""
+    scan = _oracles.representative_scan(n, 40)
+    report = run_census(n, witness_limit=40)
+    twists = n ** (n - 1)
+    assert report.count_cy == scan["cy"] * twists
+    assert report.count_generic == scan["generic"] * twists
+    assert report.count_generic_and_cy == scan["both"] * twists
+    assert list(report.implication_counterexamples) == scan["implication_bad_indices"]
+    assert list(report.dichotomy_counterexamples) == scan["dichotomy_bad_indices"]
+    assert [params_to_index(w) for w in report.witnesses] == scan["witness_indices"]
+
+
+def _column_sums(n, digits):
+    # Column sums mod n of counter digit rows, one pair at a time.
+    sums = np.zeros((len(digits), n), dtype=np.int64)
+    for k, (i, j) in enumerate(combinations(range(n), 2)):
+        sums[:, j] += digits[:, k]
+        sums[:, i] -= digits[:, k]
+    return sums % n
+
+
+@pytest.mark.parametrize("n, length", [(3, 1), (4, 4), (5, 125), (6, 46656)])
+def test_cy_stream_lists_the_cy_representatives_in_order(n, length):
+    """The CY stream has n^C(n-2,2) rows, each a zero-first-row matrix with
+    zero column sums, in strictly increasing canonical index; for n <= 5 it
+    is exactly the CY rows of the representative scan."""
+    assert length == n ** comb(n - 2, 2)
+    rows = _scan.stream_rows(n, "cy", 0, length)
+    assert rows.shape == (length, n * (n - 1) // 2)
+    assert not rows[:, : n - 1].any()
+    assert not _column_sums(n, rows).any()
+    index = rows @ (n ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64))
+    assert (np.diff(index) > 0).all()
+    if n <= 5:
+        assert np.array_equal(rows, _oracles.representative_scan(n, 0)["cy_rows"])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_witness_streams_list_their_representatives_in_order(n):
+    """The nonzero stream is exactly the representatives with every lower
+    digit nonzero, and the all stream every representative, in index order;
+    a chunk of a stream is the same slice of the whole stream."""
+    reps = _oracles.representative_digits(n, 0, n ** comb(n - 1, 2))
+    nonzero = reps[(reps[:, n - 1 :] != 0).all(axis=1)]
+    for stream, expected in (("nonzero", nonzero), ("all", reps), ("cy", None)):
+        length = _scan.stream_length(n, stream)
+        rows = _scan.stream_rows(n, stream, 0, length)
+        if expected is not None:
+            assert np.array_equal(rows, expected)
+        assert np.array_equal(_scan.stream_rows(n, stream, length // 3, length), rows[length // 3 :])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_hyperplane_inclusion_exclusion_agrees(n):
+    """Generic and generic-and-CY counts by inclusion-exclusion over the
+    triangle hyperplanes, lifted by the n^(n-1) twists."""
+    counts = _oracles.hyperplane_class_counts(n)
+    report = run_census(n)
+    assert report.count_generic == counts["generic"] * n ** (n - 1)
+    assert report.count_generic_and_cy == counts["generic_and_cy"] * n ** (n - 1)
 
 
 def _predicates(exps, sums):
@@ -259,6 +328,46 @@ def test_twist_shift_bijection_between_common_value_classes(census5):
     ]
 
 
+# -------------------------------------------------------- the six-variable run
+
+# Recorded with the all-representative scan by tests/data/make_census6.py.
+CENSUS6 = json.loads(
+    (Path(__file__).parent / "data" / "census6.json").read_text(encoding="utf-8")
+)
+
+
+def test_six_generator_counts():
+    report = run_census(6)
+    assert report.csv_counts() == [
+        ("total", 470184984576),
+        ("cy", 362797056),
+        ("generic", 13866606432),
+        ("generic_and_cy", 13973472),
+    ]
+    assert report.implication_counterexamples[0] == 72699172
+
+
+def test_six_generator_report_matches_the_recording():
+    report = run_census(6, witness_limit=CENSUS6["witness_limit"]).to_json_dict()
+    assert json.dumps(report) == json.dumps(CENSUS6["report"])
+
+
+def test_six_generator_cli_matches_the_recording(capsys, monkeypatch):
+    monkeypatch.delenv("QFERMAT_WORKERS", raising=False)
+    entry = CENSUS6["cli"]
+    code = main(entry["argv"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (entry["code"], entry["stdout"], entry["stderr"])
+
+
+@pytest.mark.parametrize(
+    "entry", CENSUS6["find_witness"], ids=lambda e: "+".join(e["predicates"])
+)
+def test_six_generator_witnesses_match_the_recording(entry):
+    found = find_witness(6, entry["predicates"])
+    assert json.dumps(None if found is None else found.to_json()) == json.dumps(entry["witness"])
+
+
 # ------------------------------------------------------------------ witnesses
 
 
@@ -290,6 +399,19 @@ def test_find_witness_aliases():
 
 def test_contradictory_predicates_have_no_witness():
     assert find_witness(3, ["full", "generic"]) is None
+
+
+_PREDICATE_SETS = [
+    list(s) for size in (1, 2, 3) for s in combinations(("cy", "generic", "full"), size)
+]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("wanted", _PREDICATE_SETS, ids="+".join)
+def test_find_witness_matches_the_representative_scan(n, wanted):
+    found = find_witness(n, wanted)
+    expected = _oracles.representative_first_match(n, wanted)
+    assert (None if found is None else params_to_index(found)) == expected
 
 
 def test_find_witness_rejects_unknown_predicates():

@@ -116,7 +116,7 @@ def test_census_partition_failure_is_an_internal_error(capsys, monkeypatch):
     assert code == EXIT_INTERNAL
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
-    assert "scanned 0 of 64 representatives" in err
+    assert "scanned 0 of 4 CY representatives" in err
 
 
 def test_inadmissible_face_in_hilb1_is_an_internal_error(capsys, monkeypatch):
@@ -258,10 +258,28 @@ def test_eval_normal_orders_the_expression(capsys):
 def test_poly_starting_with_minus_must_be_attached_with_equals(capsys):
     code, out = run(capsys, "eval", "--poly=-x1", SKEW5)
     assert (code, out) == (EXIT_TRUE, "-x1\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["eval", "--poly", "-x1", SKEW5])
-    assert exc.value.code == EXIT_INPUT
+    assert main(["eval", "--poly", "-x1", SKEW5]) == EXIT_INPUT
     assert "argument --poly: expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["shiny", SKEW5], "invalid choice: 'shiny'"),
+        (["patch", SKEW5], "the following arguments are required: --invert"),
+        (["census"], "the following arguments are required: --n"),
+    ],
+)
+def test_usage_errors_return_the_input_exit_code(capsys, argv, message):
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: qfermat") and message in captured.err
+
+
+def test_help_returns_success(capsys):
+    assert main(["--help"]) == EXIT_TRUE
+    assert capsys.readouterr().out.startswith("usage: qfermat")
 
 
 def test_eval_json_round_trips_through_the_parser(capsys):

@@ -384,6 +384,17 @@ def test_diag_automorphism_applies_linearly():
     assert DiagAutomorphism(p, (field.zeta(1),) * 3).is_scalar
 
 
+def test_diag_automorphism_rejects_other_parameters():
+    field = CycloField(3)
+    nu = DiagAutomorphism(commutative_params(3), (field.zeta(1), field.zeta(2), field.one()))
+    fewer = SkewPoly.generator(from_twist([0, 1]), 1, field=CycloField(6))
+    with pytest.raises(ValueError, match="different parameters"):
+        nu.apply(fewer)
+    more = SkewPoly.generator(commutative_params(4), 4)
+    with pytest.raises(ValueError, match="different parameters"):
+        nu.apply(more)
+
+
 # ------------------------------------------------------------- graded counting
 
 
