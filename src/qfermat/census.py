@@ -57,7 +57,6 @@ __all__ = [
     "CENSUS_MIN_N",
     "find_witness",
     "index_to_params",
-    "params_to_index",
     "run_census",
     "total_count",
 ]
@@ -134,15 +133,6 @@ def index_to_params(n: int, index: int) -> QuantumParams:
     for k in range(t - 1, -1, -1):
         x, digits[k] = divmod(x, n)
     return QuantumParams(n, _digits_to_exps(n, digits))
-
-
-def params_to_index(params: QuantumParams) -> int:
-    """Inverse of index_to_params on the canonical enumeration."""
-    n = params.n
-    idx = 0
-    for i, j in _pairs(n):
-        idx = idx * n + params.exps[i][j]
-    return idx
 
 
 def _blocks(total: int, block_size: int) -> list[tuple[int, int]]:

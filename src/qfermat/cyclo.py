@@ -4,7 +4,7 @@ Elements are coordinate vectors of arbitrary-precision rationals over the
 power basis 1, zeta, ..., zeta^(phi(m)-1), reduced modulo the m-th cyclotomic
 polynomial.  Reduction keeps representations unique, so equality and zero
 tests are exact coordinate comparisons.  No floating point enters any
-computation; ``complex_embedding`` exists for display only.
+computation.
 
 The roots of unity that ``CycloField.zeta`` interns also carry their exponent.
 Products, quotients, inverses and powers among them are additions of
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import Union
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "Cyclotomic",
     "FieldMismatchError",
     "cyclotomic_polynomial",
-    "euler_phi",
 ]
 
 Scalar = Union[int, Fraction]
@@ -35,13 +33,6 @@ _ONE = Fraction(1)
 
 class FieldMismatchError(ValueError):
     """Raised when combining elements of different cyclotomic fields."""
-
-
-def euler_phi(m: int) -> int:
-    """Euler totient by direct count; conductors stay small here."""
-    if m < 1:
-        raise ValueError(f"totient argument must be >= 1, got {m}")
-    return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
 
 
 def _exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -387,6 +378,10 @@ class Cyclotomic:
         return self.field is other.field and self.coords == other.coords
 
     def __hash__(self) -> int:
+        # A rational element equals its int or Fraction value, so it hashes
+        # like that value.
+        if not any(self.coords[1:]):
+            return hash(self.coords[0])
         return hash((self.field.conductor, self.coords))
 
     # -- conversions -----------------------------------------------------------
@@ -412,16 +407,6 @@ class Cyclotomic:
             "conductor": self.field.conductor,
             "coords": [str(c) for c in self.coords],
         }
-
-    def complex_embedding(self) -> complex:
-        """Float approximation under zeta_m -> exp(2*pi*i/m); display only."""
-        import cmath
-
-        m = self.field.conductor
-        return sum(
-            complex(c) * cmath.exp(2j * cmath.pi * k / m)
-            for k, c in enumerate(self.coords)
-        )
 
     def basis_string(self) -> str:
         """Human-readable form using w for the primitive root, e.g. '1 - 2*w^3'."""

@@ -1,4 +1,4 @@
-"""Parser and pretty-printer for skew polynomials and parameter documents.
+"""Parser and pretty-printer for skew polynomials, parser for parameter documents.
 
 Polynomial grammar (a strict superset of the canonical printed form, so that
 every print round-trips):
@@ -52,7 +52,6 @@ __all__ = [
     "lower",
     "parse_params",
     "parse_poly",
-    "print_params",
     "print_poly",
 ]
 
@@ -481,8 +480,3 @@ def parse_params(document: Union[str, dict]) -> QuantumParams:
         mat[i - 1][j - 1] = e % n
         mat[j - 1][i - 1] = (-e) % n
     return validate_params(n, mat)
-
-
-def print_params(params: QuantumParams) -> str:
-    """Canonical JSON text (exponent-matrix form); re-parse is identity."""
-    return json.dumps(params.to_json(), sort_keys=True)

@@ -9,11 +9,15 @@ admissible, and a larger subset is admissible exactly when its triangles
 vanish.
 
 Over the ambient algebra B each admissible face contributes a projective
-space.  Over the quotient A the face is cut by the sum of n-th powers of the
-supported coordinates: a 2-face {i,j} becomes the n points (1 : u) with
-u^n = -1, i.e. u = zeta_2n^(2t+1); larger faces become hypersurfaces of
-dimension |S| - 2.  Genericity (all triangles nonzero) is exactly the
-discrete case, with n * C(n,2) points in total.
+space.  Over the quotient A a point lies in the point scheme exactly when the
+Fermat element kills the module, i.e. when sum_j prod_(t<n) p_(t,j) = 0 along
+its shift chain p_0, p_1, ...  With the shift phases d_j = e_(base,j) that sum
+is sum_j (-1)^(d_j(n-1)) x_j^n: the plain sum of n-th powers at odd n, a
+signed one at even n.  A 2-face {i,j} becomes the n points (1 : u) with
+u^n = (-1)^(1 + e_ij(n-1)), i.e. u = zeta_2n^(2t+k) with k = 1 + e_ij(n-1)
+mod 2; larger faces become hypersurfaces of dimension |S| - 2.  Genericity
+(all triangles nonzero) is exactly the discrete case, with n * C(n,2) points
+in total.
 """
 
 from __future__ import annotations
@@ -41,10 +45,8 @@ __all__ = [
     "fermat_edge_points",
     "hilb1",
     "is_admissible",
-    "is_generic",
     "shift_automorphism",
     "triangle_exponent",
-    "verify_point_sequence",
 ]
 
 KIND_PROJECTIVE_SPACE = "projective-space"
@@ -75,16 +77,6 @@ def triangle_exponent(params: QuantumParams, i: int, j: int, k: int) -> int:
 def _require_simplex(params: QuantumParams) -> None:
     if params.n < 3:
         raise ValueError(f"face analysis needs n >= 3, got n={params.n}")
-
-
-def is_generic(params: QuantumParams) -> bool:
-    """True iff every triangle exponent is nonzero."""
-    _require_simplex(params)
-    n = params.n
-    return all(
-        triangle_exponent(params, i, j, k) != 0
-        for i, j, k in combinations(range(1, n + 1), 3)
-    )
 
 
 def is_admissible(params: QuantumParams, subset: Sequence[int]) -> bool:
@@ -163,69 +155,25 @@ def shift_automorphism(
     return tuple(params.exps[b][j - 1] % params.n for j in f)
 
 
-def verify_point_sequence(params: QuantumParams, xi: Sequence[Cyclotomic], steps: int) -> bool:
-    """Exactly check the consecutive-point relations along the shift orbit.
-
-    The candidate shift is built from the support of xi (base = smallest
-    supported index); each of the given number of steps checks
-    xi_i * (next xi)_j = zeta_n^(e_ij) * xi_j * (next xi)_i for all i < j.
-    Inadmissible supports are allowed in: they fail the check rather than
-    raise, which is the point of the negative examples.
-    """
-    coords = list(xi)
-    n = params.n
-    if len(coords) != n:
-        raise ValueError(f"expected {n} coordinates, got {len(coords)}")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    field = coords[0].field
-    if any(c.field is not field for c in coords):
-        raise ValueError("coordinates must share one field")
-    if field.conductor % n != 0:
-        raise ValueError(
-            f"coordinate field conductor {field.conductor} lacks the n-th roots of unity"
-        )
-    support = [k for k in range(n) if not coords[k].is_zero()]
-    if not support:
-        raise ValueError("the zero vector is not a projective point")
-    scale = field.conductor // n
-    base = support[0]
-    d = [params.exps[base][j] % n for j in range(n)]
-    shift = [field.zeta(scale * d[j]) for j in range(n)]
-    exps = params.exps
-    cur = coords
-    for _ in range(steps):
-        nxt = [shift[j] * cur[j] for j in range(n)]
-        for a in range(n):
-            if cur[a].is_zero() and nxt[a].is_zero():
-                continue
-            for b in range(a + 1, n):
-                lhs = cur[a] * nxt[b]
-                rhs = field.zeta(scale * exps[a][b]) * cur[b] * nxt[a]
-                if lhs != rhs:
-                    return False
-        cur = nxt
-    return True
-
-
 def fermat_edge_points(params: QuantumParams, i: int, j: int) -> tuple[tuple[Cyclotomic, ...], ...]:
-    """The n points of the 2-face {i,j} cut by x_i^n + x_j^n = 0.
+    """The n points of the 2-face {i,j} cut by x_i^n + (-1)^(e_ij(n-1)) x_j^n = 0.
 
     Coordinates are full-length vectors over Q(zeta_2n), normalized to 1 in
-    slot i; the affine coordinate u in slot j runs over the roots of
-    u^n = -1, namely zeta_2n^(2t+1) for t = 0..n-1.
+    slot i; the affine coordinate u in slot j runs over zeta_2n^(2t+k) for
+    t = 0..n-1, with k = 1 + e_ij(n-1) mod 2.
     """
     params._check_index(i)
     params._check_index(j)
     if i == j:
         raise ValueError("edge needs two distinct indices")
     n = params.n
+    k = (1 + params.exps[i - 1][j - 1] * (n - 1)) % 2
     field = CycloField(2 * n)
     pts = []
     for t in range(n):
         vec = [field.zero()] * n
         vec[i - 1] = field.one()
-        vec[j - 1] = field.zeta(2 * t + 1)
+        vec[j - 1] = field.zeta(2 * t + k)
         pts.append(tuple(vec))
     return tuple(pts)
 
@@ -238,10 +186,10 @@ class FaceComponent:
     kind: str
     dimension: int
     shift: tuple[int, ...]
-    equation: Optional[str]
-    point_count: Optional[int]
-    points: Optional[tuple[tuple[Cyclotomic, ...], ...]]
-    orbit_length: Optional[int]
+    equation: Optional[str] = None
+    point_count: Optional[int] = None
+    points: Optional[tuple[tuple[Cyclotomic, ...], ...]] = None
+    orbit_length: Optional[int] = None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -283,18 +231,22 @@ class Hilb1Report:
         }
 
 
-def _face_equation(face: tuple[int, ...], n: int) -> str:
-    return " + ".join(f"x{k}^{n}" for k in face) + " = 0"
+def _face_equation(face: tuple[int, ...], shift: tuple[int, ...], n: int) -> str:
+    # The term of x_j carries (-1)^(d_j(n-1)) for the shift phase
+    # d_j = e_(face[0],j); d is 0 at face[0], so the first term is positive.
+    terms = [f"x{face[0]}^{n}"]
+    terms += [f"{'-' if d * (n - 1) % 2 else '+'} x{k}^{n}" for k, d in zip(face[1:], shift[1:])]
+    return " ".join(terms) + " = 0"
 
 
 def hilb1(params: QuantumParams, algebra: str = ALGEBRA_A) -> Hilb1Report:
     """Classify point modules for the ambient algebra B or the quotient A.
 
     For B every maximal face carries a projective space.  For A the face is
-    cut by the sum of supported n-th powers: 2-faces turn into n exact points
-    each, larger faces into hypersurfaces described symbolically.  The report
-    is discrete exactly when every maximal face is a 2-face, i.e. for generic
-    parameters.
+    cut by the sum of supported n-th powers, signed at even n: 2-faces turn
+    into n exact points each, larger faces into hypersurfaces described
+    symbolically.  The report is discrete exactly when every maximal face is
+    a 2-face, i.e. for generic parameters.
     """
     if algebra not in (ALGEBRA_A, ALGEBRA_B):
         raise ValueError(f"algebra tag must be 'A' or 'B', got {algebra!r}")
@@ -304,46 +256,15 @@ def hilb1(params: QuantumParams, algebra: str = ALGEBRA_A) -> Hilb1Report:
     for face in cx.maximal_faces:
         shift = shift_automorphism(params, face, face[0])
         if algebra == ALGEBRA_B:
-            comps.append(
-                FaceComponent(
-                    face=face,
-                    kind=KIND_PROJECTIVE_SPACE,
-                    dimension=len(face) - 1,
-                    shift=shift,
-                    equation=None,
-                    point_count=None,
-                    points=None,
-                    orbit_length=None,
-                )
-            )
-        elif len(face) == 2:
-            i, j = face
-            e = params.exps[i - 1][j - 1] % n
-            comps.append(
-                FaceComponent(
-                    face=face,
-                    kind=KIND_FINITE_POINTS,
-                    dimension=0,
-                    shift=shift,
-                    equation=_face_equation(face, n),
-                    point_count=n,
-                    points=fermat_edge_points(params, i, j),
-                    orbit_length=n // gcd(e, n),
-                )
-            )
-        else:
-            comps.append(
-                FaceComponent(
-                    face=face,
-                    kind=KIND_HYPERSURFACE,
-                    dimension=len(face) - 2,
-                    shift=shift,
-                    equation=_face_equation(face, n),
-                    point_count=None,
-                    points=None,
-                    orbit_length=None,
-                )
-            )
+            comps.append(FaceComponent(face, KIND_PROJECTIVE_SPACE, len(face) - 1, shift))
+            continue
+        equation = _face_equation(face, shift, n)
+        if len(face) > 2:
+            comps.append(FaceComponent(face, KIND_HYPERSURFACE, len(face) - 2, shift, equation))
+            continue
+        points = fermat_edge_points(params, *face)
+        orbit = n // gcd(shift[1], n)  # shift[1] = e_ij mod n
+        comps.append(FaceComponent(face, KIND_FINITE_POINTS, 0, shift, equation, n, points, orbit))
     discrete = bool(comps) and all(c.kind == KIND_FINITE_POINTS for c in comps)
     total = sum(c.point_count for c in comps) if discrete else None
     return Hilb1Report(

@@ -21,14 +21,10 @@ from typing import Optional, Sequence
 
 from .cyclo import CycloField, Cyclotomic
 from .qalgebra import (
-    ALGEBRA_B,
     DiagAutomorphism,
     ParamsError,
     QuantumParams,
     _sum_terms,
-    fermat_element,
-    is_central,
-    product_of_generators,
 )
 
 __all__ = [
@@ -41,7 +37,6 @@ __all__ = [
     "column_sums",
     "compare_frobenius",
     "cy_criterion",
-    "deformation_central",
     "dehomogenize",
     "frobenius_bruteforce",
     "frobenius_closedform",
@@ -371,21 +366,6 @@ def is_twist_realizable(params: QuantumParams) -> Optional[tuple[int, ...]]:
             if (d[i] - d[j]) % n != exps[i][j]:
                 return None
     return d
-
-
-def deformation_central(params: QuantumParams, include_product_term: bool = False) -> bool:
-    """Centrality of the defining sum of n-th powers, optionally deformed.
-
-    With include_product_term the candidate relation also carries the ordered
-    product x_1...x_n, which is central iff every column sum vanishes; the
-    check is performed on each summand separately (centrality of a sum of
-    distinct PBW monomials with independent multidegrees is equivalent to
-    centrality of the parts).
-    """
-    ok = is_central(fermat_element(params, ALGEBRA_B))
-    if include_product_term:
-        ok = ok and is_central(product_of_generators(params, ALGEBRA_B))
-    return ok
 
 
 DEHOMOGENIZE_NOTE = (

@@ -45,7 +45,6 @@ __all__ = [
     "normal_order",
     "normalizing_automorphism",
     "product_of_generators",
-    "reduce_a",
     "validate_params",
 ]
 
@@ -85,15 +84,6 @@ class QuantumParams:
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.n:
             raise IndexError(f"generator index {i} out of range 1..{self.n}")
-
-    def q_scalar(self, i: int, j: int, field: CycloField | None = None) -> Cyclotomic:
-        """q_ij as a cyclotomic number, in Q(zeta_n) unless a field is given."""
-        fld = field if field is not None else CycloField(self.n)
-        if fld.conductor % self.n != 0:
-            raise ValueError(
-                f"conductor {fld.conductor} does not contain the n-th roots of unity"
-            )
-        return fld.zeta((fld.conductor // self.n) * self.exponent(i, j))
 
     def to_json(self) -> dict:
         return {"n": self.n, "exponents": [list(row) for row in self.exps]}
@@ -313,18 +303,6 @@ class SkewPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coefficient(self, multidegree) -> Cyclotomic:
-        return self._terms.get(tuple(multidegree), self.field.zero())
-
-    def support(self) -> list[Multidegree]:
-        return sorted(self._terms, key=lambda md: (sum(md), md))
-
-    def total_degrees(self) -> set[int]:
-        return {sum(md) for md in self._terms}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.total_degrees()) <= 1
-
     def _check_compatible(self, other: "SkewPoly") -> None:
         if (
             self.params != other.params
@@ -427,15 +405,6 @@ def multiply(f: SkewPoly, g: SkewPoly) -> SkewPoly:
                 coeff = coeff * field.zeta(scale * ph)
             pairs.append((tuple(x + y for x, y in zip(a, b)), coeff))
     return _build(f.params, f.algebra, field, pairs)
-
-
-def reduce_a(poly: SkewPoly) -> SkewPoly:
-    """Rewrite a polynomial into the reduced PBW form of algebra A.
-
-    Accepts a polynomial tagged either A (idempotent re-normalization) or B
-    (interpreting its terms in the quotient).
-    """
-    return _build(poly.params, ALGEBRA_A, poly.field, poly._terms.items())
 
 
 def fermat_element(params: QuantumParams, algebra: str = ALGEBRA_B, field=None) -> SkewPoly:

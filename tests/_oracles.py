@@ -2,8 +2,9 @@
 
 Everything here is written the slow, obvious way, on purpose: adjacent-swap
 bubble sorts, full word expansion, direct subset sweeps, literal root-of-unity
-products, a census sweep over every matrix with no twist quotient, and an
-inclusion-exclusion count over the triangle hyperplanes.  None of it shares
+products, point shift chains walked on root exponents, a census sweep over
+every matrix with no twist quotient, and an inclusion-exclusion count over
+the triangle hyperplanes.  None of it shares
 code with the package under test, with two exceptions: `enumerate_params`
 only wraps its matrices with the package's validator, and the
 representative-scan oracle reuses the scanner's predicate masks and lift,
@@ -149,6 +150,53 @@ def maximal_admissible_subsets(exps):
         s for s in admissible if not any(s < t for t in admissible)
     ]
     return sorted(tuple(sorted(s)) for s in maximal)
+
+
+def point_chain_holds(exps, xi, steps, fermat=False):
+    """Walk the shift chain of a projective point and check it exactly.
+
+    Each coordinate is an exponent a standing for zeta_2n^a (taken mod 2n),
+    or None for a zero coordinate, so every product below is an addition of
+    exponents and no field arithmetic is needed.  The shift is anchored at
+    the smallest supported index b and multiplies coordinate j by
+    zeta_n^(e_bj) = zeta_2n^(2 e_bj).  Each of the given number of steps
+    checks xi_i * (next xi)_j = zeta_n^(e_ij) * xi_j * (next xi)_i for all
+    i < j; both sides are zero or one root, so they are compared as
+    exponents.  Inadmissible supports fail rather than raise.
+
+    With fermat, the Fermat element must also kill the module:
+    sum_j prod_(t<n) p_(t,j) = 0 over the chain p_0, p_1, ...  That is
+    decided for points with at most two nonzero coordinates only: one root
+    is never 0, and zeta_2n^a + zeta_2n^b = 0 exactly when a - b = n mod 2n.
+    """
+    n = len(exps)
+    m = 2 * n
+    if len(xi) != n:
+        raise ValueError(f"expected {n} coordinates, got {len(xi)}")
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    support = [j for j in range(n) if xi[j] is not None]
+    if not support:
+        raise ValueError("the zero vector is not a projective point")
+    if fermat and len(support) > 2:
+        raise ValueError("the Fermat check takes at most two nonzero coordinates")
+
+    def times(a, b):
+        return None if a is None or b is None else (a + b) % m
+
+    shift = [2 * exps[support[0]][j] for j in range(n)]
+    chain = [[times(a, 0) for a in xi]]
+    while len(chain) < max(steps + 1, n):
+        chain.append([times(a, d) for a, d in zip(chain[-1], shift)])
+    for cur, nxt in zip(chain[:steps], chain[1 : steps + 1]):
+        for i in range(n):
+            for j in range(i + 1, n):
+                if times(cur[i], nxt[j]) != times(times(2 * exps[i][j], cur[j]), nxt[i]):
+                    return False
+    if fermat:
+        powers = [sum(point[j] for point in chain[:n]) % m for j in support]
+        return len(powers) == 2 and (powers[0] - powers[1]) % m == n
+    return True
 
 
 def twist_solution_bruteforce(exps):

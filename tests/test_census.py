@@ -20,12 +20,11 @@ from qfermat.census import (
     EXPECTED_GENERIC_CY_N5,
     find_witness,
     index_to_params,
-    params_to_index,
     run_census,
     total_count,
 )
 from qfermat.cli import main
-from qfermat.hilb1 import face_complex, hilb1, is_generic
+from qfermat.hilb1 import face_complex, hilb1
 from qfermat.koszulcy import column_sums, cy_criterion, is_twist_realizable
 
 import _oracles
@@ -46,14 +45,14 @@ def test_total_count_formula():
 def test_index_round_trip(n, data):
     index = data.draw(st.integers(0, total_count(n) - 1))
     p = index_to_params(n, index)
-    assert params_to_index(p) == index
+    assert _oracles.index_of(p.exps) == index
 
 
 def test_enumeration_follows_the_index_order():
     stream = _oracles.enumerate_params(3)
     for expected_index in range(27):
         p = next(stream)
-        assert params_to_index(p) == expected_index
+        assert _oracles.index_of(p.exps) == expected_index
         assert p == index_to_params(3, expected_index)
 
 
@@ -69,7 +68,7 @@ def test_last_index_has_all_top_digits():
 
 @given(params_st(min_n=3, max_n=6))
 def test_every_matrix_has_an_index(p):
-    assert index_to_params(p.n, params_to_index(p)) == p
+    assert index_to_params(p.n, _oracles.index_of(p.exps)) == p
 
 
 # ------------------------------------------------------------------- tallies
@@ -145,7 +144,7 @@ def test_report_matches_the_representative_scan(n):
     assert report.count_generic_and_cy == scan["both"] * twists
     assert list(report.implication_counterexamples) == scan["implication_bad_indices"]
     assert list(report.dichotomy_counterexamples) == scan["dichotomy_bad_indices"]
-    assert [params_to_index(w) for w in report.witnesses] == scan["witness_indices"]
+    assert [_oracles.index_of(w.exps) for w in report.witnesses] == scan["witness_indices"]
 
 
 def _column_sums(n, digits):
@@ -276,7 +275,7 @@ def test_five_generator_implication_fails_on_raw_matrices(census5):
     first = census5.implication_counterexamples[0]
     assert first == 19929
     p = index_to_params(5, first)
-    assert is_generic(p)
+    assert _oracles.generic_bruteforce(p.exps)
     report = cy_criterion(p)
     assert report.is_cy
     assert report.common_value == 4
@@ -296,7 +295,7 @@ def test_five_generator_alternative_readings(census5):
 def test_counterexamples_all_verify(census5):
     for index in census5.implication_counterexamples:
         p = index_to_params(5, index)
-        assert is_generic(p)
+        assert _oracles.generic_bruteforce(p.exps)
         r = cy_criterion(p)
         assert r.is_cy and r.common_value != 0
 
@@ -319,7 +318,7 @@ def test_twist_shift_bijection_between_common_value_classes(census5):
                 for i in range(5)
             ],
         )
-        assert is_generic(merged) == is_generic(p)
+        assert _oracles.generic_bruteforce(merged.exps) == _oracles.generic_bruteforce(p.exps)
         r = cy_criterion(merged)
         assert r.is_cy
         assert r.common_value == (base + 1) % 5
@@ -374,17 +373,17 @@ def test_six_generator_witnesses_match_the_recording(entry):
 def test_witnesses_satisfy_their_predicates(census5):
     assert census5.witnesses
     for w in census5.witnesses:
-        assert is_generic(w)
+        assert _oracles.generic_bruteforce(w.exps)
         assert cy_criterion(w).is_cy
 
 
 def test_find_witness_is_the_canonical_first_match():
     w = find_witness(4, ["generic", "cy"])
-    index = params_to_index(w)
+    index = _oracles.index_of(w.exps)
     assert index == 29
     for i in range(index):
         p = index_to_params(4, i)
-        assert not (is_generic(p) and cy_criterion(p).is_cy)
+        assert not (_oracles.generic_bruteforce(p.exps) and cy_criterion(p).is_cy)
 
 
 def test_find_witness_aliases():
@@ -411,7 +410,7 @@ _PREDICATE_SETS = [
 def test_find_witness_matches_the_representative_scan(n, wanted):
     found = find_witness(n, wanted)
     expected = _oracles.representative_first_match(n, wanted)
-    assert (None if found is None else params_to_index(found)) == expected
+    assert (None if found is None else _oracles.index_of(found.exps)) == expected
 
 
 def test_find_witness_rejects_unknown_predicates():

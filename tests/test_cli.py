@@ -1,6 +1,5 @@
 """Command line surface: exit codes, JSON/text renderers, determinism."""
 
-import importlib
 import json
 import os
 import subprocess
@@ -10,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import qfermat
-from qfermat import census, koszulcy
+from qfermat import census, hilb1, koszulcy
 from qfermat.cli import (
     EXIT_CAPACITY,
     EXIT_FALSE,
@@ -121,14 +120,11 @@ def test_census_partition_failure_is_an_internal_error(capsys, monkeypatch):
 
 def test_inadmissible_face_in_hilb1_is_an_internal_error(capsys, monkeypatch):
     # hilb1 only asks for shift automorphisms of faces it built itself, so an
-    # InadmissibleFaceError there is a failed invariant, not bad input.  The
-    # package attribute hilb1 is the function, so fetch the module by name.
-    _hilb1 = importlib.import_module("qfermat.hilb1")
-
+    # InadmissibleFaceError there is a failed invariant, not bad input.
     def broken(params, face, base):
-        raise _hilb1.InadmissibleFaceError(f"face {tuple(face)} has a nonvanishing triangle")
+        raise hilb1.InadmissibleFaceError(f"face {tuple(face)} has a nonvanishing triangle")
 
-    monkeypatch.setattr(_hilb1, "shift_automorphism", broken)
+    monkeypatch.setattr(hilb1, "shift_automorphism", broken)
     code = main(["hilb1", GENERIC4])
     out, err = capsys.readouterr()
     assert code == EXIT_INTERNAL

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qfermat.census import find_witness
 from qfermat.cyclo import CycloField
 from qfermat.hilb1 import (
     DichotomyError,
@@ -20,10 +21,8 @@ from qfermat.hilb1 import (
     fermat_edge_points,
     hilb1,
     is_admissible,
-    is_generic,
     shift_automorphism,
     triangle_exponent,
-    verify_point_sequence,
 )
 from qfermat.qalgebra import commutative_params, from_twist, validate_params
 
@@ -75,14 +74,14 @@ def test_triangle_rejects_repeated_indices():
 
 
 def test_genericity_pinned_cases(generic_cy_witness5):
-    assert not is_generic(from_twist([1, 2, 3, 4, 0]))
-    assert not is_generic(commutative_params(5))
-    assert is_generic(generic_cy_witness5)
+    assert not hilb1(from_twist([1, 2, 3, 4, 0]), "A").discrete
+    assert not hilb1(commutative_params(5), "A").discrete
+    assert hilb1(generic_cy_witness5, "A").discrete
 
 
 @given(params_st(min_n=3, max_n=6))
 def test_genericity_matches_triple_sweep(p):
-    assert is_generic(p) == _oracles.generic_bruteforce(p.exps)
+    assert hilb1(p, "A").discrete == _oracles.generic_bruteforce(p.exps)
 
 
 @given(params_st(min_n=3, max_n=6), st.data())
@@ -183,27 +182,82 @@ def test_edge_points_lie_on_the_fermat_locus(generic_cy_witness5):
     assert len(seen) == 5
 
 
+def _root_exponents(point):
+    """A point over Q(zeta_2n) as the oracle reads it: each coordinate's
+    exponent a with coordinate zeta_2n^a, None for a zero coordinate."""
+    field = point[0].field
+    roots = {field.zeta(a): a for a in range(field.conductor)}
+    return [None if c.is_zero() else roots[c] for c in point]
+
+
 def test_point_sequences_verify_along_the_orbit(generic_cy_witness5):
     w5 = generic_cy_witness5
     for pt in fermat_edge_points(w5, 1, 2):
-        assert verify_point_sequence(w5, pt, 10)
+        assert _oracles.point_chain_holds(w5.exps, _root_exponents(pt), 10)
 
 
 def test_nonzero_triangle_support_fails_verification():
     p = INTERMEDIATE_4
-    field = CycloField(8)
     assert triangle_exponent(p, 1, 2, 4) != 0
-    xi = [field.one(), field.one(), field.zero(), field.one()]
-    assert not verify_point_sequence(p, xi, 1)
+    assert not _oracles.point_chain_holds(p.exps, [0, 0, None, 0], 1)
 
 
 @given(st.data())
 def test_commutative_sequences_always_verify(data):
     n = data.draw(st.integers(3, 5))
     p = commutative_params(n)
-    field = CycloField(2 * n)
-    xi = [field.zeta(data.draw(st.integers(0, 2 * n - 1))) for _ in range(n)]
-    assert verify_point_sequence(p, xi, data.draw(st.integers(0, 6)))
+    xi = [data.draw(st.integers(0, 2 * n - 1)) for _ in range(n)]
+    assert _oracles.point_chain_holds(p.exps, xi, data.draw(st.integers(0, 6)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_generic_witness_points_are_killed_by_the_fermat_element(n):
+    # At even n an odd edge exponent puts the points at u^n = +1, not -1.
+    # n = 3 has no generic CY matrix, so it takes the first generic one.
+    p = find_witness(n, ["generic", "cy"]) or find_witness(n, ["generic"])
+    report = hilb1(p, "A")
+    assert report.discrete and report.total_points == n * comb(n, 2)
+    for c in report.components:
+        for pt in c.points:
+            xi = _root_exponents(pt)
+            assert _oracles.point_chain_holds(p.exps, xi, n, fermat=True), (c.face, xi)
+            j = c.face[1] - 1
+            xi[j] += 1  # the other coset of n-th roots
+            assert not _oracles.point_chain_holds(p.exps, xi, n, fermat=True), (c.face, xi)
+
+
+def _negated_terms(equation, face, n):
+    """Face index -> 1 where the reported equation subtracts x_k^n, else 0."""
+    terms = equation.removesuffix(" = 0").replace(" - ", " + -").split(" + ")
+    assert [t.removeprefix("-") for t in terms] == [f"x{k}^{n}" for k in face]
+    return {k: int(t.startswith("-")) for k, t in zip(face, terms)}
+
+
+@pytest.mark.parametrize(
+    "params", [from_twist([0, 1, 1, 3]), INTERMEDIATE_4], ids=["twist4", "intermediate4"]
+)
+def test_two_coordinate_points_of_each_reported_equation_satisfy_the_chain(params):
+    n = params.n
+    for c in hilb1(params, "A").components:
+        neg = _negated_terms(c.equation, c.face, n)
+        for i, j in combinations(c.face, 2):
+            # x_i = 1, x_j = zeta_2n^(2t+k) solves +-x_i^n +- x_j^n = 0
+            k = (1 + neg[i] + neg[j]) % 2
+            solutions = []
+            for t in range(n):
+                xi = [None] * n
+                xi[i - 1], xi[j - 1] = 0, 2 * t + k
+                assert _oracles.point_chain_holds(params.exps, xi, n, fermat=True), (c.face, xi)
+                solutions.append(xi)
+            if c.points is not None:
+                assert [_root_exponents(pt) for pt in c.points] == solutions
+
+
+def test_full_face_equation_is_signed_at_even_n():
+    (c,) = hilb1(from_twist([0, 1, 1, 3]), "A").components
+    assert c.equation == "x1^4 - x2^4 - x3^4 - x4^4 = 0"
+    (c,) = hilb1(from_twist([1, 2, 3, 4, 0]), "A").components
+    assert c.equation == "x1^5 + x2^5 + x3^5 + x4^5 + x5^5 = 0"
 
 
 # ------------------------------------------------------------------- reports
@@ -246,7 +300,7 @@ def test_generic_quotient_reports_are_discrete(generic_cy_witness4, generic_cy_w
 @given(params_st(min_n=3, max_n=5))
 def test_discreteness_coincides_with_genericity(p):
     report = hilb1(p, "A")
-    assert report.discrete == is_generic(p)
+    assert report.discrete == _oracles.generic_bruteforce(p.exps)
     if report.discrete:
         assert report.total_points == p.n * comb(p.n, 2)
         assert sum(c.point_count for c in report.components) == report.total_points

@@ -1,20 +1,23 @@
-"""Every imported name in the package and the tests is used.
+"""Every imported name is used, and every public name has one import path
+and a caller outside the tests.
 
 An AST scan stands in for a linter: a name bound by an import statement must
 be read somewhere in the same file, in code or inside a string annotation.
-`__init__.py` re-exports and `__future__` imports are exempt.
+`__future__` imports are exempt.  The package namespace imports nothing, so
+each name is imported from the module that defines it.
 """
 
 import ast
+import re
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(
-    p for p in [*(ROOT / "src" / "qfermat").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-    if p.name != "__init__.py"
-)
+PACKAGE = ROOT / "src" / "qfermat"
+FILES = sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")])
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -70,3 +73,58 @@ def test_the_scan_sees_string_annotations_and_misses_unused_names():
         "    return os.path\n"
     )
     assert set(_imported(tree)) - _used(tree) == {"Unused"}
+
+
+def test_the_package_namespace_imports_nothing():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imports = [n.lineno for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert not imports, f"qfermat/__init__.py imports on lines {imports}"
+
+
+def test_importing_a_submodule_binds_the_module():
+    import qfermat.hilb1 as m
+
+    assert isinstance(m, ModuleType)
+
+
+def _public_names(tree: ast.Module):
+    """(__all__ names, lines of the __all__ statement, lines of each top-level
+    definition by name)."""
+    names, all_lines, defined = [], set(), {}
+    for node in tree.body:
+        first = min([node.lineno, *(d.lineno for d in getattr(node, "decorator_list", []))])
+        lines = set(range(first, node.end_lineno + 1))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = lines
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for t in getattr(node, "targets", [getattr(node, "target", None)]):
+                if isinstance(t, ast.Name) and t.id == "__all__":
+                    names, all_lines = ast.literal_eval(node.value), lines
+                elif isinstance(t, ast.Name):
+                    defined[t.id] = lines
+    return names, all_lines, defined
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """A name in a module's __all__ must appear as a word outside its own
+    definition and the __all__ list: elsewhere in its module, in another
+    package module, in README.md, in bench/*.py or in the acceptance tests."""
+    shared = [
+        (ROOT / "README.md").read_text(encoding="utf-8"),
+        (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"),
+        *(p.read_text(encoding="utf-8") for p in sorted((ROOT / "bench").glob("*.py"))),
+    ]
+    orphans = []
+    for path in MODULES:
+        text = path.read_text(encoding="utf-8")
+        names, all_lines, defined = _public_names(ast.parse(text))
+        others = [p.read_text(encoding="utf-8") for p in MODULES if p != path]
+        for name in names:
+            skip = all_lines | defined.get(name, set())
+            own = "\n".join(
+                line for k, line in enumerate(text.splitlines(), 1) if k not in skip
+            )
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if not any(word.search(t) for t in [own, *others, *shared]):
+                orphans.append(f"{path.name}:{name}")
+    assert not orphans, f"public names with no caller outside the tests: {orphans}"

@@ -20,13 +20,19 @@ from qfermat.koszulcy import (
     column_sums,
     compare_frobenius,
     cy_criterion,
-    deformation_central,
     dehomogenize,
     frobenius_bruteforce,
     frobenius_closedform,
     is_twist_realizable,
 )
-from qfermat.qalgebra import commutative_params, from_twist, validate_params
+from qfermat.qalgebra import (
+    commutative_params,
+    fermat_element,
+    from_twist,
+    is_central,
+    product_of_generators,
+    validate_params,
+)
 
 import _oracles
 from _util import params_st, random_params
@@ -361,21 +367,21 @@ def test_realizability_coincides_with_full_face_complex():
 
 @given(params_st(min_n=3, max_n=6))
 def test_fermat_relation_is_always_a_central_deformation(p):
-    assert deformation_central(p, include_product_term=False)
+    assert is_central(fermat_element(p))
 
 
 @given(params_st(min_n=3, max_n=5))
 def test_deformed_relation_requires_zero_column_sums(p):
     want = all(s == 0 for s in column_sums(p))
-    assert deformation_central(p, include_product_term=True) == want
+    assert is_central(product_of_generators(p)) == want
 
 
 def test_deformation_pinned_examples():
-    assert deformation_central(from_twist([1, 2, 3, 4, 0]), include_product_term=True)
+    assert is_central(product_of_generators(from_twist([1, 2, 3, 4, 0])))
     # column sums all equal to 1
     skew = from_twist([1, 0, 0, 0, 0])
     assert column_sums(skew) == (1, 1, 1, 1, 1)
-    assert not deformation_central(skew, include_product_term=True)
+    assert not is_central(product_of_generators(skew))
 
 
 # -------------------------------------------------------------------- patches
