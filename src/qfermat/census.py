@@ -210,7 +210,7 @@ def run_census(
     if workers == 1 or len(tasks) == 1:
         results = [_scan.scan_block(t) for t in tasks]
     else:
-        with Pool(processes=workers) as pool:
+        with Pool(processes=min(workers, len(tasks))) as pool:
             results = pool.map(_scan.scan_block, tasks)
 
     scanned = sum(r["scanned"] for r in results)

@@ -1,21 +1,28 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
-Elements are coordinate vectors of arbitrary-precision rationals over the
-power basis 1, zeta, ..., zeta^(phi(m)-1), reduced modulo the m-th cyclotomic
-polynomial.  Reduction keeps representations unique, so equality and zero
-tests are exact coordinate comparisons.  No floating point enters any
-computation.
+An element is a vector of integer numerators over one positive common
+denominator, in the power basis 1, zeta, ..., zeta^(phi(m)-1) reduced modulo
+the m-th cyclotomic polynomial; this is the layout of FLINT's ``fmpq_poly``.
+The form is canonical: gcd(den, *nums) = 1, and zero is (0, ..., 0)/1.  So
+equality and zero tests compare integers.  Every arithmetic path works on the
+integer numerators and normalizes only its result, with one gcd.  The inverse
+solves M(a) x = e_0, where column k of M(a) holds the coordinates of
+a * zeta^k, by Bareiss's fraction-free elimination over the integers.
+``Fraction`` appears only where values enter (``from_rational``, ``element``)
+and in the read-only ``coords``.  No floating point enters any computation.
 
 The roots of unity that ``CycloField.zeta`` interns also carry their exponent.
 Products, quotients, inverses and powers among them are additions of
 exponents mod m, and a general element times a root is a cyclic shift of its
-coordinates followed by one reduction pass (``Cyclotomic.mul_zeta``).
+numerators followed by one reduction pass (``Cyclotomic.mul_zeta``).  That
+map is unimodular on Z[zeta], so it needs no gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Union
 
 __all__ = [
@@ -26,9 +33,6 @@ __all__ = [
 ]
 
 Scalar = Union[int, Fraction]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class FieldMismatchError(ValueError):
@@ -68,6 +72,15 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
         if m % d == 0:
             num = _exact_div(num, cyclotomic_polynomial(d))
     return tuple(num)
+
+
+def _fraction_str(num: int, den: int) -> str:
+    # str(Fraction(num, den)) for den > 0, without building the Fraction.
+    g = gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 class CycloField:
@@ -118,24 +131,28 @@ class CycloField:
     # -- constructors -------------------------------------------------------
 
     def zero(self) -> "Cyclotomic":
-        return Cyclotomic(self, (_ZERO,) * self.degree)
+        return Cyclotomic(self, (0,) * self.degree)
 
     def one(self) -> "Cyclotomic":
         return self.zeta(0)
 
     def from_rational(self, value: Scalar) -> "Cyclotomic":
-        coords = [_ZERO] * self.degree
-        coords[0] = Fraction(value)
-        return Cyclotomic(self, tuple(coords))
+        if type(value) is int:
+            num, den = value, 1
+        else:
+            value = Fraction(value)
+            num, den = value.numerator, value.denominator
+        return Cyclotomic(self, (num,) + (0,) * (self.degree - 1), den)
 
     def element(self, coords) -> "Cyclotomic":
-        coords = tuple(Fraction(c) for c in coords)
+        coords = [Fraction(c) for c in coords]
         if len(coords) != self.degree:
             raise ValueError(
                 f"expected {self.degree} coordinates for conductor "
                 f"{self.conductor}, got {len(coords)}"
             )
-        return Cyclotomic(self, coords)
+        den = lcm(*(c.denominator for c in coords))
+        return _normal(self, [c.numerator * (den // c.denominator) for c in coords], den)
 
     def zeta(self, exponent: int = 1) -> "Cyclotomic":
         """zeta_m raised to the given exponent (exponent taken mod m).
@@ -148,25 +165,27 @@ class CycloField:
         if cached is not None:
             return cached
         if e < self.degree:
-            coords = [_ZERO] * self.degree
-            coords[e] = _ONE
+            nums = [0] * self.degree
+            nums[e] = 1
         else:
-            coords = [Fraction(c) for c in self._powtable[e - self.degree]]
-        val = Cyclotomic(self, tuple(coords), e)
+            nums = self._powtable[e - self.degree]
+        val = Cyclotomic(self, tuple(nums), 1, e)
         self._roots[e] = val
         return val
 
     # -- arithmetic kernel ---------------------------------------------------
 
     def _mul_coords(self, a, b):
+        # Product of two coordinate vectors reduced modulo Phi_m, with no
+        # normalization: integer numerators in, integer numerators out.
         deg = self.degree
-        prod = [_ZERO] * (2 * deg - 1)
+        prod = [0] * (2 * deg - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         prod[i + j] += ai * bj
-        res = list(prod[:deg])
+        res = prod[:deg]
         table = self._powtable
         for k in range(deg, len(prod)):
             c = prod[k]
@@ -181,44 +200,44 @@ class CycloField:
         return f"CycloField({self.conductor})"
 
 
-def _trim(poly: list[Fraction]) -> list[Fraction]:
-    while poly and not poly[-1]:
-        poly.pop()
-    return poly
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    q = [_ZERO] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    inv_lead = 1 / b[-1]
-    for k in range(len(q) - 1, -1, -1):
-        if k + len(b) - 1 < len(r) and r[k + len(b) - 1]:
-            c = r[k + len(b) - 1] * inv_lead
-            q[k] = c
-            for i, bc in enumerate(b):
-                r[k + i] -= c * bc
-    return q, _trim(r)
+def _normal(field: CycloField, nums, den: int) -> "Cyclotomic":
+    # The canonical form of nums/den for den > 0: one gcd over everything.
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = [c // g for c in nums]
+        den //= g
+    return Cyclotomic(field, tuple(nums), den)
 
 
 class Cyclotomic:
-    """An element of a :class:`CycloField`, stored in reduced power-basis form.
+    """An element of a :class:`CycloField`: integer numerators ``nums`` over
+    the positive common denominator ``den``, in reduced power-basis form with
+    gcd(den, *nums) = 1.
 
     ``root_exp`` is the exponent k when the element is the interned zeta_m^k,
     and None otherwise.  An untagged element that happens to equal a root
     takes the general arithmetic paths and gives the same results.
     """
 
-    __slots__ = ("field", "coords", "root_exp")
+    __slots__ = ("field", "nums", "den", "root_exp")
 
     def __init__(
         self,
         field: CycloField,
-        coords: tuple[Fraction, ...],
+        nums: tuple[int, ...],
+        den: int = 1,
         root_exp: int | None = None,
     ):
         self.field = field
-        self.coords = coords
+        self.nums = nums
+        self.den = den
         self.root_exp = root_exp
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as Fractions (read-only)."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.nums)
 
     # -- helpers -------------------------------------------------------------
 
@@ -235,7 +254,7 @@ class Cyclotomic:
         return None
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self.nums)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -246,18 +265,26 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic(self.field, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        d1, d2 = self.den, o.den
+        if d1 == d2:
+            nums = [a + b for a, b in zip(self.nums, o.nums)]
+            if d1 == 1:
+                return Cyclotomic(self.field, tuple(nums))
+            return _normal(self.field, nums, d1)
+        g = gcd(d1, d2)
+        s1, s2 = d2 // g, d1 // g
+        return _normal(self.field, [a * s1 + b * s2 for a, b in zip(self.nums, o.nums)], d1 * s1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.field, tuple(-a for a in self.coords))
+        return Cyclotomic(self.field, tuple(-a for a in self.nums), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic(self.field, tuple(a - b for a, b in zip(self.coords, o.coords)))
+        return self + (-o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -273,12 +300,16 @@ class Cyclotomic:
             return self.mul_zeta(o.root_exp)
         if self.root_exp is not None:
             return o.mul_zeta(self.root_exp)
-        return Cyclotomic(self.field, self.field._mul_coords(self.coords, o.coords))
+        nums = self.field._mul_coords(self.nums, o.nums)
+        den = self.den * o.den
+        if den == 1:
+            return Cyclotomic(self.field, nums)
+        return _normal(self.field, nums, den)
 
     __rmul__ = __mul__
 
     def mul_zeta(self, k: int) -> "Cyclotomic":
-        """self * zeta_m^k: a cyclic shift in Q[t]/(t^m - 1), then one
+        """self * zeta_m^k: a cyclic shift in Z[t]/(t^m - 1), then one
         reduction pass that rewrites each t^j with j >= degree."""
         field = self.field
         if self.root_exp is not None:
@@ -287,9 +318,9 @@ class Cyclotomic:
         k %= m
         if not k:
             return self
-        res = [_ZERO] * deg
+        res = [0] * deg
         high = []
-        for i, c in enumerate(self.coords):
+        for i, c in enumerate(self.nums):
             if c:
                 j = (i + k) % m
                 if j < deg:
@@ -301,41 +332,54 @@ class Cyclotomic:
             for i, r in enumerate(table[row]):
                 if r:
                     res[i] += c * r
-        return Cyclotomic(field, tuple(res))
+        return Cyclotomic(field, tuple(res), self.den)
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse via the extended Euclidean algorithm; the
+        """Multiplicative inverse by Bareiss elimination on M(a) x = e_0; the
         inverse of an interned root is the root with the negated exponent."""
         if self.root_exp is not None:
             return self.field.zeta(-self.root_exp)
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        phi = [Fraction(c) for c in self.field.modulus]
-        a = _trim(list(self.coords))
-        # Extended Euclid tracking the coefficient of `a` only; the modulus is
-        # irreducible, so the gcd is a nonzero constant.
-        r0, r1 = phi, a
-        s0: list[Fraction] = []
-        s1: list[Fraction] = [_ONE]
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            # s_new = s0 - q*s1
-            prod = [_ZERO] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        prod[i + j] += qc * sc
-            new = [_ZERO] * max(len(s0), len(prod))
-            for i, c in enumerate(s0):
-                new[i] += c
-            for i, c in enumerate(prod):
-                new[i] -= c
-            s0, s1 = s1, _trim(new)
-        g = r0[0]
-        inv = [c / g for c in s0]
-        inv += [_ZERO] * (self.field.degree - len(inv))
-        return Cyclotomic(self.field, tuple(inv[: self.field.degree]))
+        field = self.field
+        deg = field.degree
+        base = field._powtable[0]
+        # Columns a*t^k of M(a) for the numerator vector a, each the previous
+        # one times t; rows are augmented with e_0.
+        col = list(self.nums)
+        cols = [col]
+        for _ in range(deg - 1):
+            top = col[-1]
+            col = [top * base[0]] + [col[i - 1] + top * base[i] for i in range(1, deg)]
+            cols.append(col)
+        rows = [[c[i] for c in cols] + [int(i == 0)] for i in range(deg)]
+        # Fraction-free forward elimination: after step k every entry below
+        # row k is a (k+2)-minor of the matrix, so each division is exact.
+        prev = 1
+        for k in range(deg):
+            if not rows[k][k]:
+                swap = next(i for i in range(k + 1, deg) if rows[i][k])
+                rows[k], rows[swap] = rows[swap], rows[k]
+            pivot_row = rows[k]
+            p = pivot_row[k]
+            for i in range(k + 1, deg):
+                row = rows[i]
+                f = row[k]
+                for j in range(k + 1, deg + 1):
+                    row[j] = (p * row[j] - f * pivot_row[j]) // prev
+            prev = p
+        # Back substitution for y = D*x, D the last pivot (+-det M); y is
+        # integral by Cramer's rule, so each division is exact too.
+        y = [0] * deg
+        for i in range(deg - 1, -1, -1):
+            row = rows[i]
+            s = prev * row[deg] - sum(row[j] * y[j] for j in range(i + 1, deg))
+            y[i] = s // row[i]
+        # a = nums/den, so a^-1 = den * y / D.
+        if prev < 0:
+            prev = -prev
+            y = [-c for c in y]
+        return _normal(field, [self.den * c for c in y], prev)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -375,14 +419,19 @@ class Cyclotomic:
             other = self.field.from_rational(other)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        return self.field is other.field and self.coords == other.coords
+        return (
+            self.field is other.field
+            and self.nums == other.nums
+            and self.den == other.den
+        )
 
     def __hash__(self) -> int:
         # A rational element equals its int or Fraction value, so it hashes
         # like that value.
-        if not any(self.coords[1:]):
-            return hash(self.coords[0])
-        return hash((self.field.conductor, self.coords))
+        if not any(self.nums[1:]):
+            num = self.nums[0]
+            return hash(num) if self.den == 1 else hash(Fraction(num, self.den))
+        return hash((self.field.conductor, self.nums, self.den))
 
     # -- conversions -----------------------------------------------------------
 
@@ -396,30 +445,34 @@ class Cyclotomic:
                 f"no embedding of conductor {m} into conductor {big}"
             )
         step = big // m
-        out = target.zero()
-        for i, c in enumerate(self.coords):
+        nums = [0] * target.degree
+        for i, c in enumerate(self.nums):
             if c:
-                out = out + target.zeta(step * i) * c
-        return out
+                for j, r in enumerate(target.zeta(step * i).nums):
+                    if r:
+                        nums[j] += c * r
+        return _normal(target, nums, self.den)
 
     def to_json(self) -> dict:
-        return {
-            "conductor": self.field.conductor,
-            "coords": [str(c) for c in self.coords],
-        }
+        den = self.den
+        if den == 1:
+            coords = [str(c) for c in self.nums]
+        else:
+            coords = [_fraction_str(c, den) for c in self.nums]
+        return {"conductor": self.field.conductor, "coords": coords}
 
     def basis_string(self) -> str:
         """Human-readable form using w for the primitive root, e.g. '1 - 2*w^3'."""
         parts = []
-        for k, c in enumerate(self.coords):
+        for k, c in enumerate(self.nums):
             if not c:
                 continue
-            mag = abs(c)
+            mag = _fraction_str(abs(c), self.den)
             if k == 0:
-                body = str(mag)
+                body = mag
             else:
                 power = "w" if k == 1 else f"w^{k}"
-                body = power if mag == 1 else f"{mag}*{power}"
+                body = power if mag == "1" else f"{mag}*{power}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -428,4 +481,3 @@ class Cyclotomic:
 
     def __repr__(self) -> str:
         return f"<{self.basis_string()} in Q(zeta_{self.field.conductor})>"
-

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .cyclo import CycloField, Cyclotomic
+from .cyclo import CycloField, Cyclotomic, _fraction_str
 from .qalgebra import (
     ALGEBRA_B,
     QuantumParams,
@@ -350,16 +350,16 @@ def _wpow_str(k: int) -> str:
 
 def _coeff_parts(c: Cyclotomic, has_factors: bool) -> tuple[bool, str]:
     # Returns (negative, body); empty body means an omitted unit coefficient.
-    nz = [(k, v) for k, v in enumerate(c.coords) if v]
+    nz = [(k, v) for k, v in enumerate(c.nums) if v]
     if len(nz) == 1:
         k, v = nz[0]
         neg = v < 0
-        mag = abs(v)
+        mag = _fraction_str(abs(v), c.den)
         if k == 0:
-            if mag == 1 and has_factors:
+            if mag == "1" and has_factors:
                 return neg, ""
-            return neg, str(mag)
-        if mag == 1:
+            return neg, mag
+        if mag == "1":
             return neg, _wpow_str(k)
         return neg, f"({mag}*{_wpow_str(k)})"
     return False, "(" + c.basis_string() + ")"

@@ -424,9 +424,23 @@ def product_of_generators(params: QuantumParams, algebra: str = ALGEBRA_B, field
 
 
 def is_central(poly: SkewPoly) -> bool:
-    """Whether the polynomial commutes with every generator."""
-    gens = [SkewPoly.generator(poly.params, i, poly.algebra, poly.field) for i in range(1, poly.params.n + 1)]
-    return all((g * poly - poly * g).is_zero() for g in gens)
+    """Whether the polynomial commutes with every generator.
+
+    Decided from exponents, with no products: the polynomial is central iff
+    every term x^a has sum_i a_i e_ij = 0 mod n for every j.  In B,
+    x^a x_j = zeta_n^(sum_i a_i e_ij) x_j x^a, and distinct a give distinct
+    a + e_j, so no two terms of a commutator cancel.  In A nothing reduces
+    for j != n.  For j = n only the terms with a_n = n - 1 reduce, and their
+    part of the commutator becomes D(y) * (y_1^n + ... + y_(n-1)^n) in the
+    commutative ring of x_1, ..., x_(n-1), apart from the unreduced terms
+    (which keep a last exponent >= 1).  A product of nonzero polynomials is
+    nonzero, so again nothing cancels.
+    """
+    n = poly.params.n
+    cols = tuple(zip(*poly.params.exps))
+    return all(
+        sum(a * e for a, e in zip(md, col)) % n == 0 for md in poly._terms for col in cols
+    )
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,14 @@ Everything here is written the slow, obvious way, on purpose: adjacent-swap
 bubble sorts, full word expansion, direct subset sweeps, literal root-of-unity
 products, point shift chains walked on root exponents, a census sweep over
 every matrix with no twist quotient, and an inclusion-exclusion count over
-the triangle hyperplanes.  None of it shares
-code with the package under test, with two exceptions: `enumerate_params`
-only wraps its matrices with the package's validator, and the
-representative-scan oracle reuses the scanner's predicate masks and lift,
-because it checks which rows the census visits, not what the predicates
-mean.
+the triangle hyperplanes, commutators with every generator, and the
+extended Euclidean inverse over Fractions.  None of it shares code with the
+package under test, with three exceptions: `enumerate_params` only wraps its
+matrices with the package's validator; the representative-scan oracle
+reuses the scanner's predicate masks and lift, because it checks which rows
+the census visits, not what the predicates mean; and the commutator oracle
+multiplies with the package's `multiply`, because it checks that the
+exponent rule of `is_central` decides what the products would.
 """
 
 from fractions import Fraction
@@ -20,7 +22,7 @@ from math import comb, gcd, prod
 import numpy as np
 
 from qfermat.cyclo import CycloField
-from qfermat.qalgebra import validate_params
+from qfermat.qalgebra import SkewPoly, multiply, validate_params
 
 
 def bubble_normal_order(exps, word):
@@ -574,3 +576,63 @@ def patch_exponent_oracle(exps, m):
 def rational_coords(element):
     """Coordinate tuple of a Cyclotomic as Fractions, for independent equality checks."""
     return tuple(Fraction(c) for c in element.coords)
+
+
+def commutator_is_central(poly):
+    """Whether g*p - p*g is zero for every generator g, by full products."""
+    for i in range(1, poly.params.n + 1):
+        g = SkewPoly.generator(poly.params, i, poly.algebra, poly.field)
+        if not (multiply(g, poly) - multiply(poly, g)).is_zero():
+            return False
+    return True
+
+
+def _trim(poly):
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly
+
+
+def _poly_divmod(a, b):
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
+    inv_lead = 1 / b[-1]
+    for k in range(len(q) - 1, -1, -1):
+        if k + len(b) - 1 < len(r) and r[k + len(b) - 1]:
+            c = r[k + len(b) - 1] * inv_lead
+            q[k] = c
+            for i, bc in enumerate(b):
+                r[k + i] -= c * bc
+    return q, _trim(r)
+
+
+def euclid_inverse(element):
+    """Coordinates (Fractions) of the inverse of a nonzero Cyclotomic, by the
+    extended Euclidean algorithm against the cyclotomic modulus."""
+    degree = element.field.degree
+    phi = [Fraction(c) for c in element.field.modulus]
+    a = _trim(list(element.coords))
+    # Extended Euclid tracking the coefficient of `a` only; the modulus is
+    # irreducible, so the gcd is a nonzero constant.
+    r0, r1 = phi, a
+    s0 = []
+    s1 = [Fraction(1)]
+    while r1:
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        # s_new = s0 - q*s1
+        prod_ = [Fraction(0)] * (len(q) + len(s1) - 1) if q and s1 else []
+        for i, qc in enumerate(q):
+            if qc:
+                for j, sc in enumerate(s1):
+                    prod_[i + j] += qc * sc
+        new = [Fraction(0)] * max(len(s0), len(prod_))
+        for i, c in enumerate(s0):
+            new[i] += c
+        for i, c in enumerate(prod_):
+            new[i] -= c
+        s0, s1 = s1, _trim(new)
+    g = r0[0]
+    inv = [c / g for c in s0]
+    inv += [Fraction(0)] * (degree - len(inv))
+    return tuple(inv[:degree])

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qfermat import _scan
+from qfermat import census as census_module
 from qfermat._scan import lift
 from qfermat.census import (
     CENSUS_MAX_N,
@@ -120,6 +121,23 @@ def test_tallies_are_worker_count_invariant():
     for workers in (1, 2, 8):
         other = run_census(6, workers=workers, block_size=4096).to_json_dict()
         assert json.dumps(other) == one_block
+
+
+def test_pool_starts_no_more_workers_than_blocks(monkeypatch):
+    """n = 5 has 125 CY representatives: 4 blocks of 32, so 8 requested
+    workers start 4 processes."""
+    started = []
+    real_pool = census_module.Pool
+
+    def counting_pool(*args, **kwargs):
+        pool = real_pool(*args, **kwargs)
+        started.append(len(pool._pool))
+        return pool
+
+    monkeypatch.setattr(census_module, "Pool", counting_pool)
+    report = run_census(5, workers=8, block_size=32).to_json_dict()
+    assert started == [4]
+    assert report == run_census(5).to_json_dict()
 
 
 @pytest.mark.parametrize(

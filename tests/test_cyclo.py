@@ -14,6 +14,8 @@ from qfermat.cyclo import (
     cyclotomic_polynomial,
 )
 
+import _oracles
+
 
 def test_cyclotomic_polynomial_small_cases():
     assert cyclotomic_polynomial(1) == (-1, 1)
@@ -293,3 +295,96 @@ def test_inverses_match_sympy():
             expected = _sympy_coords(sympy, sympy.invert(poly, modulus), f.degree)
             assert a.inverse().coords == expected
             assert _untagged(a).inverse().coords == expected
+
+
+# ------------------------------------------------- integer-numerator layout
+
+
+@given(st.integers(3, 16), st.data())
+def test_inverse_matches_the_euclid_oracle(m, data):
+    a = data.draw(field_elements(conductor=m))
+    if a.is_zero():
+        return
+    assert a.inverse().coords == _oracles.euclid_inverse(a)
+    assert a.field.one() / a == a.inverse()
+
+
+def test_inverse_matches_the_euclid_oracle_on_pinned_elements():
+    rng = random.Random(0xB4E)
+    for m in range(3, 17):
+        f = CycloField(m)
+        # one coordinate only, a zero leading pivot, and dense big ones
+        cases = [f.element([0] * (f.degree - 1) + [Fraction(-3, 7)])]
+        cases.append(f.element([0, 1] + [0] * (f.degree - 2)) + f.from_rational(2))
+        cases += [
+            f.element(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 999)) for _ in range(f.degree))
+            for _ in range(4)
+        ]
+        for a in cases:
+            assert a.inverse().coords == _oracles.euclid_inverse(a)
+
+
+def _assert_canonical(x):
+    assert type(x.den) is int and x.den > 0
+    assert all(type(c) is int for c in x.nums) and len(x.nums) == x.field.degree
+    assert gcd(x.den, *x.nums) == 1
+    if x.is_zero():
+        assert x.nums == (0,) * x.field.degree and x.den == 1
+
+
+_OPS = ("+", "-", "*", "/", "**", "zeta", "neg", "int*", "frac+")
+
+
+@given(st.integers(1, 16), st.data())
+def test_results_stay_canonical_under_random_operation_sequences(m, data):
+    f = CycloField(m)
+    x = data.draw(field_elements(conductor=m))
+    _assert_canonical(x)
+    for op in data.draw(st.lists(st.sampled_from(_OPS), min_size=1, max_size=8)):
+        y = data.draw(st.one_of(field_elements(conductor=m), st.integers(-m, m).map(f.zeta)))
+        if op == "+":
+            x = x + y
+        elif op == "-":
+            x = x - y
+        elif op == "*":
+            x = x * y
+        elif op == "/":
+            x = x / y if not y.is_zero() else x
+        elif op == "**":
+            x = x ** data.draw(st.integers(-1 if not x.is_zero() else 0, 2))
+        elif op == "zeta":
+            x = x.mul_zeta(data.draw(st.integers(-2 * m, 2 * m)))
+        elif op == "neg":
+            x = -x
+        elif op == "int*":
+            x = data.draw(st.integers(-6, 6)) * x
+        else:
+            x = x + data.draw(small_rationals)
+        _assert_canonical(x)
+    # the subtraction of an element from itself gives the canonical zero
+    _assert_canonical(x - x)
+    assert (x - x).nums == (0,) * f.degree and (x - x).den == 1
+
+
+@given(st.data())
+def test_boundary_formats_match_fractions(data):
+    a = data.draw(field_elements())
+    assert all(type(c) is Fraction for c in a.coords)
+    assert a.to_json()["coords"] == [str(c) for c in a.coords]
+    # basis_string as the Fraction coordinates spell it
+    parts = []
+    for k, c in enumerate(a.coords):
+        if c:
+            mag = abs(c)
+            power = "" if k == 0 else ("w" if k == 1 else f"w^{k}")
+            body = str(mag) if not power else (power if mag == 1 else f"{mag}*{power}")
+            sign = ("" if c > 0 else "-") if not parts else ("+ " if c > 0 else "- ")
+            parts.append(sign + body)
+    assert a.basis_string() == (" ".join(parts) if parts else "0")
+    # an element equal to a rational equals and hashes like the int or Fraction
+    r = a.coords[0]
+    b = a.field.from_rational(r)
+    assert b == r and hash(b) == hash(r)
+    if r.denominator == 1:
+        assert b == int(r) and hash(b) == hash(int(r))
+    assert (a == b) == (a.coords == b.coords)

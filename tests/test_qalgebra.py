@@ -1,10 +1,11 @@
 """Skew polynomial arithmetic: normal ordering, products, normal forms."""
 
 import random
+from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfermat.cyclo import CycloField
@@ -319,6 +320,69 @@ def test_every_nth_power_is_central(p, data):
     md = [0] * p.n
     md[k - 1] = p.n
     assert is_central(SkewPoly.monomial(p, tuple(md)))
+
+
+def _box(p, last):
+    # Multidegrees in {0,1,2}^(n-1) x {last} whose twisted column sums
+    # sum_i a_i e_ij vanish for every j (central), or for every j but one
+    # (near misses).  Drawing from these makes both answers common.
+    n = p.n
+    central, near = [], []
+    for head in product(range(3), repeat=n - 1):
+        md = head + (last,)
+        bad = sum(sum(a * p.exps[i][j] for i, a in enumerate(md)) % n != 0 for j in range(n))
+        if bad <= 1:
+            (near if bad else central).append(md)
+    return central, near
+
+
+@st.composite
+def centrality_case(draw):
+    p = draw(params_st(min_n=2, max_n=6))
+    n = p.n
+    algebra = draw(st.sampled_from([ALGEBRA_A, ALGEBRA_B]))
+    field = CycloField(n * draw(st.sampled_from([1, 2])))
+    # last exponent n - 1 is the case that reduces in A when multiplied by x_n
+    last = draw(st.sampled_from([0, 1, n - 1, n - 1, n, 2 * n - 1]))
+    pools = [pool for pool in _box(p, last) if pool]
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.integers(0, len(pools)))
+        if kind < len(pools):
+            md = draw(st.sampled_from(pools[kind]))
+        else:
+            md = tuple(draw(st.lists(st.integers(0, 3), min_size=n - 1, max_size=n - 1)))
+            md += (draw(st.sampled_from([0, 1, n - 1, n])),)
+        coeff = draw(st.sampled_from([1, -1, 2, 3]))
+        terms[md] = field.zeta(draw(st.integers(0, field.conductor - 1))) * coeff
+    return SkewPoly(p, algebra, terms, field)
+
+
+@settings(max_examples=300)
+@given(centrality_case())
+def test_is_central_agrees_with_the_commutator_oracle(poly):
+    assert is_central(poly) == _oracles.commutator_is_central(poly)
+
+
+def test_is_central_agrees_with_the_commutator_oracle_on_reducing_terms_of_a():
+    # Every polynomial here lies in A and has terms with a_n = n - 1, whose
+    # products with x_n leave the PBW basis and are rewritten by
+    # x_n^n = -(x_1^n + ... + x_(n-1)^n).  Near misses fail one column only.
+    rng = random.Random(31)
+    seen = {True: 0, False: 0}
+    for _ in range(200):
+        n = rng.randrange(2, 7)
+        p = random_params(n, rng)
+        field = CycloField(n * rng.choice((1, 2)))
+        central, near = _box(p, n - 1)
+        pool = central + near if rng.random() < 0.5 else central
+        pool = pool or [(0,) * (n - 1) + (n - 1,)]
+        terms = {rng.choice(pool): field.zeta(rng.randrange(n)) * rng.choice((1, -2)) for _ in range(rng.randrange(1, 4))}
+        poly = SkewPoly(p, ALGEBRA_A, terms, field)
+        want = _oracles.commutator_is_central(poly)
+        assert is_central(poly) == want
+        seen[want] += 1
+    assert seen[True] > 20 and seen[False] > 20
 
 
 def test_product_of_generators_centrality_matches_column_sums_exhaustively():
