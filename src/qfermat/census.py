@@ -42,7 +42,6 @@ Results are lifted back to all matrices exactly:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from multiprocessing import Pool
@@ -81,12 +80,18 @@ def _check_n(n: int) -> None:
         raise ValueError(f"census needs an integer n >= {CENSUS_MIN_N}, got {n!r}")
     if n > CENSUS_MAX_N:
         width = _lower_width(n)
-        exponent, fraction = divmod(width * math.log10(n), 1)
-        mantissa = round(10**fraction, 1)
-        if mantissa == 10:
-            mantissa, exponent = 1.0, exponent + 1
+        # n^width to two significant digits, rounded half to even on the
+        # exact integer.
+        value = n**width
+        exponent = len(str(value)) - 1
+        scale = 10 ** (exponent - 1)
+        lead, rest = divmod(value, scale)
+        if 2 * rest > scale or (2 * rest == scale and lead % 2):
+            lead += 1
+        if lead == 100:
+            lead, exponent = 10, exponent + 1
         raise CapacityError(
-            f"n={n} needs {n}^{width} ≈ {mantissa}e{int(exponent)} "
+            f"n={n} needs {n}^{width} ≈ {lead // 10}.{lead % 10}e{exponent} "
             f"representatives, beyond the supported bound n <= {CENSUS_MAX_N}"
         )
 

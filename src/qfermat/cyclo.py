@@ -404,13 +404,16 @@ class Cyclotomic:
         if exponent < 0:
             base = self.inverse()
             exponent = -exponent
-        result = self.field.one()
+        # Square-and-multiply with no product by one and no squaring past the
+        # top bit.
+        result = None
         while exponent:
             if exponent & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             exponent >>= 1
-        return result
+            if exponent:
+                base = base * base
+        return self.field.one() if result is None else result
 
     # -- comparison / hashing --------------------------------------------------
 

@@ -19,6 +19,11 @@ order is preserved exactly as written -- the word is the noncommutative
 source of truth and is only normal-ordered during lowering.  Coefficients
 are evaluated in Q(zeta_conductor) as they are read.
 
+The text is split into tokens by one regular expression, and the descent
+reads that list by index; source positions are worked out only for an error.
+The first character that can start no token, or an 'x' with no index, is
+reported before any syntax error, wherever that syntax error sits.
+
 Parameter documents are JSON with "n" plus exactly one of "exponents" (full
 matrix), "twist" (vector d with e_ij = d_i - d_j), or "entries" (sparse list
 of {i, j, e} upper-triangle assignments).
@@ -27,9 +32,11 @@ of {i, j, e} upper-triangle assignments).
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Union
+from itertools import islice
+from math import gcd
+from typing import NamedTuple, NoReturn, Union
 
 from .cyclo import CycloField, Cyclotomic, _fraction_str
 from .qalgebra import (
@@ -71,14 +78,12 @@ class ParamsDocError(ValueError):
 # -- polynomial AST ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     gen: int
     power: int
 
 
-@dataclass(frozen=True)
-class PolyTerm:
+class PolyTerm(NamedTuple):
     coeff: Cyclotomic
     factors: tuple[Factor, ...]
 
@@ -110,197 +115,182 @@ class PolyAst:
         return PolyAst(self.n, self.conductor, out)
 
 
-# -- tokenizer ------------------------------------------------------------------------
+# -- parser ---------------------------------------------------------------------------
 
-_DIGITS = "0123456789"
-_SYMBOLS = {
-    "w": "W",
-    "+": "PLUS",
-    "-": "MINUS",
-    "*": "STAR",
-    "/": "SLASH",
-    "^": "CARET",
-    "(": "LPAREN",
-    ")": "RPAREN",
-}
-
-
-def _tokenize(text: str) -> list[tuple[str, object, int]]:
-    tokens: list[tuple[str, object, int]] = []
-    i = 0
-    size = len(text)
-    while i < size:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        pos = i
-        if ch in _DIGITS:
-            j = i
-            while j < size and text[j] in _DIGITS:
-                j += 1
-            tokens.append(("INT", int(text[i:j]), pos))
-            i = j
-        elif ch == "x":
-            j = i + 1
-            while j < size and text[j] in _DIGITS:
-                j += 1
-            if j == i + 1:
-                raise ParseError("expected generator index after 'x'", pos)
-            tokens.append(("GEN", int(text[i + 1 : j]), pos))
-            i = j
-        elif ch in _SYMBOLS:
-            tokens.append((_SYMBOLS[ch], None, pos))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", pos)
-    tokens.append(("EOF", None, size))
-    return tokens
+# A token is an INT, a generator 'x' INT, or one symbol character.
+_TOKEN = re.compile(r"[0-9]+|x[0-9]*|[^ \t\r\n]")
+# The first character no token may start with, or an 'x' with no index.
+_INVALID = re.compile(r"[^0-9xw+*/^() \t\r\n-]|x(?![0-9])")
 
 
 class _Parser:
+    # Recursive descent over the token strings, read by index; "" ends the
+    # input.  Source positions are recovered only when an error is raised.
+
     def __init__(self, text: str, n: int, conductor: int):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        bad = _INVALID.search(text)
+        if bad is not None:
+            pos = bad.start()
+            if bad.group() == "x":
+                raise ParseError("expected generator index after 'x'", pos)
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        self.text = text
+        self.toks = _TOKEN.findall(text)
+        self.toks.append("")
+        self.k = 0
         self.n = n
         self.conductor = conductor
         self.field = CycloField(conductor)
+        self.zeros = (0,) * (self.field.degree - 1)
 
-    def peek(self) -> tuple[str, object, int]:
-        return self.tokens[self.pos]
+    def fail(self, message: str, k: int) -> NoReturn:
+        """Raise ``message`` at the source position of token k."""
+        if k < len(self.toks) - 1:
+            pos = next(islice(_TOKEN.finditer(self.text), k, None)).start()
+        else:
+            pos = len(self.text)
+        raise ParseError(message, pos)
 
-    def next(self) -> tuple[str, object, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> tuple[str, object, int]:
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {what}", tok[2])
-        return tok
+    def exponent(self, k: int) -> int:
+        """The INT at token k, which follows a '^'."""
+        tok = self.toks[k]
+        if not tok.isdigit():
+            self.fail("expected integer exponent", k)
+        return int(tok)
 
     # poly := ['-'] term (('+' | '-') term)*
     def parse(self) -> PolyAst:
-        if self.peek()[0] == "EOF":
-            raise ParseError("empty input", self.peek()[2])
-        terms = []
-        negated = False
-        if self.peek()[0] == "MINUS":
-            self.next()
-            negated = True
-        terms.append(self.term(negated))
+        toks = self.toks
+        if not toks[0]:
+            self.fail("empty input", 0)
+        negated = toks[0] == "-"
+        if negated:
+            self.k = 1
+        terms = [self.term(negated)]
         while True:
-            kind, _, _ = self.peek()
-            if kind == "PLUS":
-                self.next()
-                terms.append(self.term(False))
-            elif kind == "MINUS":
-                self.next()
-                terms.append(self.term(True))
-            elif kind == "EOF":
-                break
+            tok = toks[self.k]
+            if tok == "+" or tok == "-":
+                self.k += 1
+                terms.append(self.term(tok == "-"))
+            elif not tok:
+                return PolyAst(self.n, self.conductor, tuple(terms))
             else:
-                raise ParseError("expected '+', '-', or end of input", self.peek()[2])
-        return PolyAst(self.n, self.conductor, tuple(terms))
+                self.fail("expected '+', '-', or end of input", self.k)
 
+    # term := catom '*' factors | factors | catom
     def term(self, negated: bool) -> PolyTerm:
-        if self.peek()[0] == "GEN":
+        if self.toks[self.k][:1] == "x":
             coeff, factors = self.field.one(), self.factors()
         else:
             coeff, factors = self.catom("coefficient or generator"), ()
-            if self.peek()[0] == "STAR":
-                self.next()
+            if self.toks[self.k] == "*":
+                self.k += 1
                 factors = self.factors()
         return PolyTerm(-coeff if negated else coeff, factors)
 
+    # factors := factor ('*' factor)*,  factor := 'x' INT ['^' INT]
     def factors(self) -> tuple[Factor, ...]:
-        out = [self.factor()]
-        while self.peek()[0] == "STAR":
-            self.next()
-            out.append(self.factor())
-        return tuple(out)
+        toks, k, n = self.toks, self.k, self.n
+        out = []
+        while True:
+            tok = toks[k]
+            if tok[:1] != "x":
+                self.fail("expected generator", k)
+            gen = int(tok[1:])
+            if not 1 <= gen <= n:
+                self.fail(f"unknown generator x{gen} (n={n})", k)
+            k += 1
+            power = 1
+            if toks[k] == "^":
+                power = self.exponent(k + 1)
+                if power < 1:
+                    self.fail("generator power must be >= 1", k + 1)
+                k += 2
+            out.append(Factor(gen, power))
+            if toks[k] != "*":
+                self.k = k
+                return tuple(out)
+            k += 1
 
-    def factor(self) -> Factor:
-        kind, value, pos = self.next()
-        if kind != "GEN":
-            raise ParseError("expected generator", pos)
-        idx = int(value)
-        if not 1 <= idx <= self.n:
-            raise ParseError(f"unknown generator x{idx} (n={self.n})", pos)
-        power = 1
-        if self.peek()[0] == "CARET":
-            self.next()
-            ptok = self.expect("INT", "integer exponent")
-            power = int(ptok[1])
-            if power < 1:
-                raise ParseError("generator power must be >= 1", ptok[2])
-        return Factor(idx, power)
-
-    def rational(self) -> Cyclotomic:
-        tok = self.expect("INT", "integer")
-        num = int(tok[1])
-        if self.peek()[0] == "SLASH":
-            self.next()
-            dtok = self.expect("INT", "denominator")
-            den = int(dtok[1])
-            if den == 0:
-                raise ParseError("zero denominator", dtok[2])
-            return self.field.from_rational(Fraction(num, den))
-        return self.field.from_rational(num)
-
-    def wpow(self) -> Cyclotomic:
-        self.expect("W", "'w'")
-        power = 1
-        if self.peek()[0] == "CARET":
-            self.next()
-            ptok = self.expect("INT", "integer exponent")
-            power = int(ptok[1])
-        return self.field.zeta(power)
-
-    def paren_coeff(self) -> Cyclotomic:
-        self.expect("LPAREN", "'('")
-        inner = self.coeff_expr()
-        self.expect("RPAREN", "')'")
-        if self.peek()[0] == "CARET":
-            self.next()
-            ptok = self.expect("INT", "integer exponent")
-            return inner ** int(ptok[1])
-        return inner
-
+    # coeff_expr := ['-'] cterm (('+' | '-') cterm)*
     def coeff_expr(self) -> Cyclotomic:
-        if self.peek()[0] == "MINUS":
-            self.next()
+        toks = self.toks
+        if toks[self.k] == "-":
+            self.k += 1
             value = -self.cterm()
         else:
             value = self.cterm()
         while True:
-            kind = self.peek()[0]
-            if kind == "PLUS":
-                self.next()
+            tok = toks[self.k]
+            if tok == "+":
+                self.k += 1
                 value = value + self.cterm()
-            elif kind == "MINUS":
-                self.next()
+            elif tok == "-":
+                self.k += 1
                 value = value - self.cterm()
             else:
                 return value
 
+    # cterm := catom ('*' catom)*; its 'w' atoms add up to one root exponent,
+    # applied last as a shift.
     def cterm(self) -> Cyclotomic:
-        value = self.catom()
-        while self.peek()[0] == "STAR":
-            self.next()
-            value = value * self.catom()
-        return value
+        toks = self.toks
+        value, shift = None, 0
+        while True:
+            if toks[self.k] == "w":
+                shift += self.wpow()
+            else:
+                atom = self.catom()
+                value = atom if value is None else value * atom
+            if toks[self.k] != "*":
+                break
+            self.k += 1
+        if value is None:
+            return self.field.zeta(shift)
+        return value.mul_zeta(shift) if shift else value
 
+    # wpow := 'w' ['^' INT], read as its exponent
+    def wpow(self) -> int:
+        k = self.k
+        if self.toks[k + 1] == "^":
+            self.k = k + 3
+            return self.exponent(k + 2)
+        self.k = k + 1
+        return 1
+
+    # catom := rational | wpow | '(' coeff_expr ')' ['^' INT]
     def catom(self, what: str = "rational, 'w', or '('") -> Cyclotomic:
-        kind, _, pos = self.peek()
-        if kind == "INT":
-            return self.rational()
-        if kind == "W":
-            return self.wpow()
-        if kind == "LPAREN":
-            return self.paren_coeff()
-        raise ParseError(f"expected {what}", pos)
+        toks, k = self.toks, self.k
+        tok = toks[k]
+        if tok.isdigit():
+            # rational := INT ['/' INT], built from integers in lowest terms
+            num, den = int(tok), 1
+            if toks[k + 1] == "/":
+                k += 2
+                if not toks[k].isdigit():
+                    self.fail("expected denominator", k)
+                den = int(toks[k])
+                if not den:
+                    self.fail("zero denominator", k)
+                g = gcd(num, den)
+                num //= g
+                den //= g
+            self.k = k + 1
+            return Cyclotomic(self.field, (num,) + self.zeros, den)
+        if tok == "w":
+            return self.field.zeta(self.wpow())
+        if tok == "(":
+            self.k = k + 1
+            inner = self.coeff_expr()
+            k = self.k
+            if toks[k] != ")":
+                self.fail("expected ')'", k)
+            if toks[k + 1] == "^":
+                self.k = k + 3
+                return inner ** self.exponent(k + 2)
+            self.k = k + 1
+            return inner
+        self.fail(f"expected {what}", k)
 
 
 def parse_poly(text: str, n: int, conductor: int) -> PolyAst:
@@ -331,12 +321,12 @@ def lower(ast: PolyAst, params: QuantumParams, algebra: str = ALGEBRA_B) -> Skew
     for term in ast.terms:
         if term.coeff.field is not field:
             raise ValueError("coefficient from a different field")
-        phase, md = _runs_phase(params, [(f.gen, f.power) for f in term.factors])
+        phase, md = _runs_phase(params, term.factors)
         if min(md) < 0:
             raise ValueError(f"bad multidegree {md}")
         coeff = term.coeff
         if phase:
-            coeff = coeff * field.zeta(scale * phase)
+            coeff = coeff.mul_zeta(scale * phase)
         pairs.append((md, coeff))
     return _build(params, algebra, field, pairs)
 

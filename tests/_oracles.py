@@ -4,14 +4,17 @@ Everything here is written the slow, obvious way, on purpose: adjacent-swap
 bubble sorts, full word expansion, direct subset sweeps, literal root-of-unity
 products, point shift chains walked on root exponents, a census sweep over
 every matrix with no twist quotient, and an inclusion-exclusion count over
-the triangle hyperplanes, commutators with every generator, and the
-extended Euclidean inverse over Fractions.  None of it shares code with the
-package under test, with three exceptions: `enumerate_params` only wraps its
-matrices with the package's validator; the representative-scan oracle
-reuses the scanner's predicate masks and lift, because it checks which rows
-the census visits, not what the predicates mean; and the commutator oracle
-multiplies with the package's `multiply`, because it checks that the
-exponent rule of `is_central` decides what the products would.
+the triangle hyperplanes, commutators with every generator, the
+extended Euclidean inverse over Fractions, and a character-by-character
+polynomial parser.  None of it shares code with the package under test, with
+four exceptions: `enumerate_params` only wraps its matrices with the
+package's validator; the representative-scan oracle reuses the scanner's
+predicate masks and lift, because it checks which rows the census visits,
+not what the predicates mean; the commutator oracle multiplies with the
+package's `multiply`, because it checks that the exponent rule of
+`is_central` decides what the products would; and `reference_parse_poly`
+evaluates coefficients with the package's `CycloField` arithmetic, because
+it checks how text is read, not how Q(zeta) multiplies.
 """
 
 from fractions import Fraction
@@ -636,3 +639,212 @@ def euclid_inverse(element):
     inv = [c / g for c in s0]
     inv += [Fraction(0)] * (degree - len(inv))
     return tuple(inv[:degree])
+
+
+class ReferenceParseError(ValueError):
+    """The parse error of the reference parser, in the package's message form."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(f"at position {position}: {message}")
+        self.position = position
+
+
+# The character-by-character tokenizer and token-object recursive descent
+# that the package's one-pass parser replaced, kept as its oracle.
+
+_DIGITS = "0123456789"
+_SYMBOLS = {
+    "w": "W",
+    "+": "PLUS",
+    "-": "MINUS",
+    "*": "STAR",
+    "/": "SLASH",
+    "^": "CARET",
+    "(": "LPAREN",
+    ")": "RPAREN",
+}
+
+
+def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    tokens: list[tuple[str, object, int]] = []
+    i = 0
+    size = len(text)
+    while i < size:
+        ch = text[i]
+        if ch in " \t\r\n":
+            i += 1
+            continue
+        pos = i
+        if ch in _DIGITS:
+            j = i
+            while j < size and text[j] in _DIGITS:
+                j += 1
+            tokens.append(("INT", int(text[i:j]), pos))
+            i = j
+        elif ch == "x":
+            j = i + 1
+            while j < size and text[j] in _DIGITS:
+                j += 1
+            if j == i + 1:
+                raise ReferenceParseError("expected generator index after 'x'", pos)
+            tokens.append(("GEN", int(text[i + 1 : j]), pos))
+            i = j
+        elif ch in _SYMBOLS:
+            tokens.append((_SYMBOLS[ch], None, pos))
+            i += 1
+        else:
+            raise ReferenceParseError(f"unexpected character {ch!r}", pos)
+    tokens.append(("EOF", None, size))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str, n: int, conductor: int):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.n = n
+        self.conductor = conductor
+        self.field = CycloField(conductor)
+
+    def peek(self) -> tuple[str, object, int]:
+        return self.tokens[self.pos]
+
+    def next(self) -> tuple[str, object, int]:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str, what: str) -> tuple[str, object, int]:
+        tok = self.next()
+        if tok[0] != kind:
+            raise ReferenceParseError(f"expected {what}", tok[2])
+        return tok
+
+    # poly := ['-'] term (('+' | '-') term)*
+    def parse(self):
+        if self.peek()[0] == "EOF":
+            raise ReferenceParseError("empty input", self.peek()[2])
+        terms = []
+        negated = False
+        if self.peek()[0] == "MINUS":
+            self.next()
+            negated = True
+        terms.append(self.term(negated))
+        while True:
+            kind, _, _ = self.peek()
+            if kind == "PLUS":
+                self.next()
+                terms.append(self.term(False))
+            elif kind == "MINUS":
+                self.next()
+                terms.append(self.term(True))
+            elif kind == "EOF":
+                break
+            else:
+                raise ReferenceParseError("expected '+', '-', or end of input", self.peek()[2])
+        return tuple(terms)
+
+    def term(self, negated: bool):
+        if self.peek()[0] == "GEN":
+            coeff, factors = self.field.one(), self.factors()
+        else:
+            coeff, factors = self.catom("coefficient or generator"), ()
+            if self.peek()[0] == "STAR":
+                self.next()
+                factors = self.factors()
+        return (-coeff if negated else coeff, factors)
+
+    def factors(self):
+        out = [self.factor()]
+        while self.peek()[0] == "STAR":
+            self.next()
+            out.append(self.factor())
+        return tuple(out)
+
+    def factor(self):
+        kind, value, pos = self.next()
+        if kind != "GEN":
+            raise ReferenceParseError("expected generator", pos)
+        idx = int(value)
+        if not 1 <= idx <= self.n:
+            raise ReferenceParseError(f"unknown generator x{idx} (n={self.n})", pos)
+        power = 1
+        if self.peek()[0] == "CARET":
+            self.next()
+            ptok = self.expect("INT", "integer exponent")
+            power = int(ptok[1])
+            if power < 1:
+                raise ReferenceParseError("generator power must be >= 1", ptok[2])
+        return (idx, power)
+
+    def rational(self):
+        tok = self.expect("INT", "integer")
+        num = int(tok[1])
+        if self.peek()[0] == "SLASH":
+            self.next()
+            dtok = self.expect("INT", "denominator")
+            den = int(dtok[1])
+            if den == 0:
+                raise ReferenceParseError("zero denominator", dtok[2])
+            return self.field.from_rational(Fraction(num, den))
+        return self.field.from_rational(num)
+
+    def wpow(self):
+        self.expect("W", "'w'")
+        power = 1
+        if self.peek()[0] == "CARET":
+            self.next()
+            ptok = self.expect("INT", "integer exponent")
+            power = int(ptok[1])
+        return self.field.zeta(power)
+
+    def paren_coeff(self):
+        self.expect("LPAREN", "'('")
+        inner = self.coeff_expr()
+        self.expect("RPAREN", "')'")
+        if self.peek()[0] == "CARET":
+            self.next()
+            ptok = self.expect("INT", "integer exponent")
+            return inner ** int(ptok[1])
+        return inner
+
+    def coeff_expr(self):
+        if self.peek()[0] == "MINUS":
+            self.next()
+            value = -self.cterm()
+        else:
+            value = self.cterm()
+        while True:
+            kind = self.peek()[0]
+            if kind == "PLUS":
+                self.next()
+                value = value + self.cterm()
+            elif kind == "MINUS":
+                self.next()
+                value = value - self.cterm()
+            else:
+                return value
+
+    def cterm(self):
+        value = self.catom()
+        while self.peek()[0] == "STAR":
+            self.next()
+            value = value * self.catom()
+        return value
+
+    def catom(self, what: str = "rational, 'w', or '('"):
+        kind, _, pos = self.peek()
+        if kind == "INT":
+            return self.rational()
+        if kind == "W":
+            return self.wpow()
+        if kind == "LPAREN":
+            return self.paren_coeff()
+        raise ReferenceParseError(f"expected {what}", pos)
+
+
+def reference_parse_poly(text, n, conductor):
+    """The terms of a polynomial text as (coefficient, ((gen, power), ...))
+    pairs, read the slow way: one token tuple per token, peek/next/expect
+    per step, rationals through Fraction.  Raises ReferenceParseError."""
+    return _Parser(text, n, conductor).parse()

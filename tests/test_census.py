@@ -4,6 +4,7 @@ import json
 import random
 from itertools import combinations, product
 from math import comb
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -455,3 +456,17 @@ def test_census_bounds():
         total_count(8)
     with pytest.raises(ValueError):
         run_census(2)
+
+
+@pytest.mark.parametrize("n", range(7, 16))
+def test_capacity_estimate_is_the_exact_power_rounded_half_even(n):
+    # Decimal formats n^width exactly, rounding half to even; the message
+    # must carry the same two significant digits (4.7e12, 1.0e36, 1.1e107).
+    width = (n - 1) * (n - 2) // 2
+    estimate = f"{Decimal(n**width):.1e}".replace("e+", "e")
+    with pytest.raises(CapacityError) as err:
+        total_count(n)
+    assert str(err.value) == (
+        f"n={n} needs {n}^{width} ≈ {estimate} representatives, "
+        f"beyond the supported bound n <= {CENSUS_MAX_N}"
+    )

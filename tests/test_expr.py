@@ -28,6 +28,7 @@ from qfermat.qalgebra import (
     multiply,
 )
 
+import _oracles
 from _util import params_st, random_params
 
 
@@ -94,26 +95,36 @@ def test_factor_order_is_preserved_in_the_ast():
 # -------------------------------------------------------------------- errors
 
 
+# (text, position, message).  A character the tokenizer rejects is reported
+# before any syntax error, wherever that syntax error sits.
+_PARSE_ERRORS = [
+    ("", 0, "empty input"),
+    ("x0", 0, "unknown generator x0 (n=5)"),
+    ("x6", 0, "unknown generator x6 (n=5)"),
+    ("x1^", 3, "expected integer exponent"),
+    ("x1 +", 4, "expected coefficient or generator"),
+    ("(1+w", 4, "expected ')'"),
+    ("x1 x2", 3, "expected '+', '-', or end of input"),
+    ("x1^0", 3, "generator power must be >= 1"),
+    ("x1**2", 3, "expected generator"),
+    ("w^", 2, "expected integer exponent"),
+    ("1/0*x1", 2, "zero denominator"),
+    ("x9 + $", 5, "unexpected character '$'"),
+    ("x1^0 + x", 7, "expected generator index after 'x'"),
+    ("(1 + w ;", 7, "unexpected character ';'"),
+]
+
+
 @pytest.mark.parametrize(
-    "text,where",
-    [
-        ("", 0),
-        ("x0", 0),
-        ("x6", 0),
-        ("x1^", 3),
-        ("x1 +", 4),
-        ("(1+w", 4),
-        ("x1 x2", 3),
-        ("x1^0", 3),
-        ("x1**2", 3),
-        ("w^", 2),
-        ("1/0*x1", 2),
-    ],
+    "text,where,message",
+    _PARSE_ERRORS,
+    ids=[f"{text}-{where}" for text, where, _ in _PARSE_ERRORS],
 )
-def test_parse_errors_carry_positions(text, where):
+def test_parse_errors_carry_positions(text, where, message):
     with pytest.raises(ParseError) as err:
         parse_poly(text, 5, 5)
     assert err.value.position == where
+    assert str(err.value) == f"at position {where}: {message}"
 
 
 def test_mandatory_star_between_coefficient_atoms():
@@ -137,6 +148,105 @@ def test_grammar_shaped_noise_never_panics(text):
         parse_poly(text, 3, 3)
     except ParseError:
         pass
+
+
+# The parser against the character-by-character oracle: texts drawn from the
+# grammar with whitespace between tokens, one-character mutations of them over
+# an alphabet that holds characters no token may start with, and truncations.
+
+_WS = st.sampled_from(["", "", " ", "  ", "\t", "\n ", "\r\n"])
+_MUTATION_ALPHABET = "x0123456789w+-*/^() \t$;²\fX."
+
+
+@st.composite
+def _grammar_texts(draw, n, conductor):
+    degree = CycloField(conductor).degree
+    toks = []
+
+    def catom(depth):
+        kind = draw(st.sampled_from(["int", "frac", "w", "paren"] if depth < 2 else ["int", "frac", "w"]))
+        if kind == "int":
+            toks.append(str(draw(st.integers(0, 12))))
+        elif kind == "frac":
+            toks.extend([str(draw(st.integers(0, 12))), "/", str(draw(st.integers(0, 7)))])
+        elif kind == "w":
+            toks.append("w")
+            if draw(st.booleans()):
+                toks.extend(["^", str(draw(st.integers(0, 2 * conductor + degree)))])
+        else:
+            toks.append("(")
+            coeff_expr(depth + 1)
+            toks.append(")")
+            if draw(st.booleans()):
+                toks.extend(["^", str(draw(st.integers(0, 4)))])
+
+    def coeff_expr(depth):
+        if draw(st.booleans()):
+            toks.append("-")
+        for k in range(draw(st.integers(1, 3))):
+            if k:
+                toks.append(draw(st.sampled_from("+-")))
+            for j in range(draw(st.integers(1, 2))):
+                if j:
+                    toks.append("*")
+                catom(depth)
+
+    def factors():
+        for j in range(draw(st.integers(1, 3))):
+            if j:
+                toks.append("*")
+            toks.append(f"x{draw(st.integers(1, n))}")
+            if draw(st.booleans()):
+                toks.extend(["^", str(draw(st.integers(0, 9)))])
+
+    if draw(st.booleans()):
+        toks.append("-")
+    for k in range(draw(st.integers(1, 3))):
+        if k:
+            toks.append(draw(st.sampled_from("+-")))
+        shape = draw(st.sampled_from(["coeff*factors", "factors", "coeff"]))
+        if shape != "factors":
+            catom(0)
+        if shape == "coeff*factors":
+            toks.append("*")
+        if shape != "coeff":
+            factors()
+    return "".join(tok + draw(_WS) for tok in toks)
+
+
+@st.composite
+def _parser_inputs(draw):
+    n = draw(st.integers(2, 6))
+    conductor = n * draw(st.integers(1, 2))
+    text = draw(_grammar_texts(n, conductor))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        ch = draw(st.sampled_from(_MUTATION_ALPHABET))
+        edit = draw(st.sampled_from(["insert", "replace", "delete", "truncate"]))
+        if edit == "insert":
+            text = text[:at] + ch + text[at:]
+        elif edit == "truncate":
+            text = text[:at]
+        elif at < len(text):
+            text = text[:at] + (ch if edit == "replace" else "") + text[at + 1 :]
+    return text, n, conductor
+
+
+def _outcome(parse, text, n, conductor):
+    try:
+        terms = parse(text, n, conductor)
+    except (ParseError, _oracles.ReferenceParseError) as err:
+        return "error", str(err), err.position
+    return "terms", [(c.nums, c.den, tuple(tuple(f) for f in fs)) for c, fs in terms]
+
+
+@settings(max_examples=600)
+@given(_parser_inputs())
+def test_parser_matches_the_reference_parser(case):
+    text, n, conductor = case
+    got = _outcome(lambda *a: parse_poly(*a).terms, text, n, conductor)
+    want = _outcome(_oracles.reference_parse_poly, text, n, conductor)
+    assert got == want
 
 
 # ---------------------------------------------------------------- round trips
