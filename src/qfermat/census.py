@@ -75,21 +75,60 @@ def _lower_width(n: int) -> int:
     return (n - 1) * (n - 2) // 2
 
 
+def _cut(m: int, shift: int, digits: int, up: bool) -> tuple[int, int]:
+    # m * 10**shift cut to at most `digits` digits of m, rounding m down, or
+    # up when `up` is set.
+    extra = len(str(m)) - digits
+    if extra <= 0:
+        return m, shift
+    q, r = divmod(m, 10**extra)
+    return q + (up and r > 0), shift + extra
+
+
+def _power_bound(n: int, width: int, digits: int, up: bool) -> tuple[int, int]:
+    # (m, shift) with m * 10**shift a lower bound on n**width, or an upper
+    # bound when `up` is set, by square-and-multiply on cut mantissas.
+    m, shift = 1, 0
+    base, base_shift = _cut(n, 0, digits, up)
+    while width:
+        if width & 1:
+            m, shift = _cut(m * base, shift + base_shift, digits, up)
+        width >>= 1
+        if width:
+            base, base_shift = _cut(base * base, 2 * base_shift, digits, up)
+    return m, shift
+
+
+def _two_digits(m: int, shift: int) -> tuple[int, int]:
+    # (lead, exponent) with m * 10**shift ≈ lead/10 * 10**exponent, lead in
+    # 10..99, rounded half to even on the exact integer m >= 10.
+    exponent = len(str(m)) - 1
+    scale = 10 ** (exponent - 1)
+    lead, rest = divmod(m, scale)
+    if 2 * rest > scale or (2 * rest == scale and lead % 2):
+        lead += 1
+    if lead == 100:
+        lead, exponent = 10, exponent + 1
+    return lead, exponent + shift
+
+
 def _check_n(n: int) -> None:
     if not isinstance(n, int) or n < CENSUS_MIN_N:
         raise ValueError(f"census needs an integer n >= {CENSUS_MIN_N}, got {n!r}")
     if n > CENSUS_MAX_N:
         width = _lower_width(n)
-        # n^width to two significant digits, rounded half to even on the
-        # exact integer.
-        value = n**width
-        exponent = len(str(value)) - 1
-        scale = 10 ** (exponent - 1)
-        lead, rest = divmod(value, scale)
-        if 2 * rest > scale or (2 * rest == scale and lead % 2):
-            lead += 1
-        if lead == 100:
-            lead, exponent = 10, exponent + 1
+        # n^width to two significant digits, rounded half to even, from
+        # integer bounds whose size does not grow with n^width.  More digits
+        # are kept until both bounds round alike.  They always do: a tie would
+        # make n^width a three-digit odd multiple of 5 times a power of 10,
+        # and no n^width with width >= 5 is one.
+        digits = 24
+        while True:
+            low = _two_digits(*_power_bound(n, width, digits, False))
+            if low == _two_digits(*_power_bound(n, width, digits, True)):
+                break
+            digits *= 2
+        lead, exponent = low
         raise CapacityError(
             f"n={n} needs {n}^{width} ≈ {lead // 10}.{lead % 10}e{exponent} "
             f"representatives, beyond the supported bound n <= {CENSUS_MAX_N}"

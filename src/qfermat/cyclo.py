@@ -136,11 +136,13 @@ class CycloField:
     def one(self) -> "Cyclotomic":
         return self.zeta(0)
 
-    def from_rational(self, value: Scalar) -> "Cyclotomic":
+    def from_rational(self, value: Scalar, den: int = 1) -> "Cyclotomic":
+        """The rational value/den, for a positive integer den."""
         if type(value) is int:
-            num, den = value, 1
+            g = gcd(value, den)
+            num, den = value // g, den // g
         else:
-            value = Fraction(value)
+            value = Fraction(value, den)
             num, den = value.numerator, value.denominator
         return Cyclotomic(self, (num,) + (0,) * (self.degree - 1), den)
 
@@ -404,16 +406,13 @@ class Cyclotomic:
         if exponent < 0:
             base = self.inverse()
             exponent = -exponent
-        # Square-and-multiply with no product by one and no squaring past the
-        # top bit.
-        result = None
+        result = self.field.one()
         while exponent:
             if exponent & 1:
-                result = base if result is None else result * base
+                result = result * base
+            base = base * base
             exponent >>= 1
-            if exponent:
-                base = base * base
-        return self.field.one() if result is None else result
+        return result
 
     # -- comparison / hashing --------------------------------------------------
 

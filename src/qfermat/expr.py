@@ -35,7 +35,6 @@ import json
 import re
 from dataclasses import dataclass
 from itertools import islice
-from math import gcd
 from typing import NamedTuple, NoReturn, Union
 
 from .cyclo import CycloField, Cyclotomic, _fraction_str
@@ -141,7 +140,6 @@ class _Parser:
         self.n = n
         self.conductor = conductor
         self.field = CycloField(conductor)
-        self.zeros = (0,) * (self.field.degree - 1)
 
     def fail(self, message: str, k: int) -> NoReturn:
         """Raise ``message`` at the source position of token k."""
@@ -231,39 +229,20 @@ class _Parser:
             else:
                 return value
 
-    # cterm := catom ('*' catom)*; its 'w' atoms add up to one root exponent,
-    # applied last as a shift.
+    # cterm := catom ('*' catom)*
     def cterm(self) -> Cyclotomic:
-        toks = self.toks
-        value, shift = None, 0
-        while True:
-            if toks[self.k] == "w":
-                shift += self.wpow()
-            else:
-                atom = self.catom()
-                value = atom if value is None else value * atom
-            if toks[self.k] != "*":
-                break
+        value = self.catom()
+        while self.toks[self.k] == "*":
             self.k += 1
-        if value is None:
-            return self.field.zeta(shift)
-        return value.mul_zeta(shift) if shift else value
-
-    # wpow := 'w' ['^' INT], read as its exponent
-    def wpow(self) -> int:
-        k = self.k
-        if self.toks[k + 1] == "^":
-            self.k = k + 3
-            return self.exponent(k + 2)
-        self.k = k + 1
-        return 1
+            value = value * self.catom()
+        return value
 
     # catom := rational | wpow | '(' coeff_expr ')' ['^' INT]
     def catom(self, what: str = "rational, 'w', or '('") -> Cyclotomic:
         toks, k = self.toks, self.k
         tok = toks[k]
         if tok.isdigit():
-            # rational := INT ['/' INT], built from integers in lowest terms
+            # rational := INT ['/' INT]
             num, den = int(tok), 1
             if toks[k + 1] == "/":
                 k += 2
@@ -272,13 +251,15 @@ class _Parser:
                 den = int(toks[k])
                 if not den:
                     self.fail("zero denominator", k)
-                g = gcd(num, den)
-                num //= g
-                den //= g
             self.k = k + 1
-            return Cyclotomic(self.field, (num,) + self.zeros, den)
+            return self.field.from_rational(num, den)
         if tok == "w":
-            return self.field.zeta(self.wpow())
+            # wpow := 'w' ['^' INT]
+            if toks[k + 1] == "^":
+                self.k = k + 3
+                return self.field.zeta(self.exponent(k + 2))
+            self.k = k + 1
+            return self.field.zeta(1)
         if tok == "(":
             self.k = k + 1
             inner = self.coeff_expr()
@@ -326,7 +307,7 @@ def lower(ast: PolyAst, params: QuantumParams, algebra: str = ALGEBRA_B) -> Skew
             raise ValueError(f"bad multidegree {md}")
         coeff = term.coeff
         if phase:
-            coeff = coeff.mul_zeta(scale * phase)
+            coeff = coeff * field.zeta(scale * phase)
         pairs.append((md, coeff))
     return _build(params, algebra, field, pairs)
 

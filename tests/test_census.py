@@ -456,6 +456,15 @@ def test_census_bounds():
         total_count(8)
     with pytest.raises(ValueError):
         run_census(2)
+    # The estimate stays cheap where n^width has far more digits than
+    # Python converts to str (4300 at n = 70) or than memory holds.
+    with pytest.raises(CapacityError, match=r"n=70 needs 70\^2346 ≈ 4\.0e4328 representatives"):
+        total_count(70)
+    with pytest.raises(
+        CapacityError,
+        match=r"n=1000000 needs 1000000\^499998500001 ≈ 1\.0e2999991000006 representatives",
+    ):
+        run_census(10**6)
 
 
 @pytest.mark.parametrize("n", range(7, 16))

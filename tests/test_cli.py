@@ -89,6 +89,13 @@ def test_census_capacity_exit(capsys):
     code = main(["census", "--n", "7"])
     capsys.readouterr()
     assert code == EXIT_CAPACITY
+    for n, estimate in (
+        ("70", "70^2346 ≈ 4.0e4328"),
+        ("1000000", "1000000^499998500001 ≈ 1.0e2999991000006"),
+    ):
+        code = main(["census", "--n", n])
+        assert code == EXIT_CAPACITY
+        assert f"error: n={n} needs {estimate} representatives" in capsys.readouterr().err
 
 
 def test_frobenius_pairing_failure_is_an_internal_error(capsys, monkeypatch):
