@@ -149,12 +149,21 @@ class _Parser:
             pos = len(self.text)
         raise ParseError(message, pos)
 
+    def too_long(self, k: int) -> NoReturn:
+        """Raise at token k, whose digits exceed the interpreter's limit on
+        integer string conversion."""
+        digits = len(self.toks[k].lstrip("x"))
+        self.fail(f"integer literal of {digits} digits is too long", k)
+
     def exponent(self, k: int) -> int:
         """The INT at token k, which follows a '^'."""
         tok = self.toks[k]
         if not tok.isdigit():
             self.fail("expected integer exponent", k)
-        return int(tok)
+        try:
+            return int(tok)
+        except ValueError:
+            self.too_long(k)
 
     # poly := ['-'] term (('+' | '-') term)*
     def parse(self) -> PolyAst:
@@ -194,7 +203,10 @@ class _Parser:
             tok = toks[k]
             if tok[:1] != "x":
                 self.fail("expected generator", k)
-            gen = int(tok[1:])
+            try:
+                gen = int(tok[1:])
+            except ValueError:
+                self.too_long(k)
             if not 1 <= gen <= n:
                 self.fail(f"unknown generator x{gen} (n={n})", k)
             k += 1
@@ -243,12 +255,19 @@ class _Parser:
         tok = toks[k]
         if tok.isdigit():
             # rational := INT ['/' INT]
-            num, den = int(tok), 1
+            try:
+                num = int(tok)
+            except ValueError:
+                self.too_long(k)
+            den = 1
             if toks[k + 1] == "/":
                 k += 2
                 if not toks[k].isdigit():
                     self.fail("expected denominator", k)
-                den = int(toks[k])
+                try:
+                    den = int(toks[k])
+                except ValueError:
+                    self.too_long(k)
                 if not den:
                     self.fail("zero denominator", k)
             self.k = k + 1

@@ -16,9 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
+from math import comb
 from typing import Optional, Sequence
 
+from .census import CapacityError
 from .cyclo import CycloField, Cyclotomic
 from .qalgebra import (
     DiagAutomorphism,
@@ -31,6 +34,7 @@ __all__ = [
     "CyReport",
     "DEHOMOGENIZE_NOTE",
     "ExtElement",
+    "FROBENIUS_MAX_N",
     "FrobeniusComparison",
     "FrobeniusPairingError",
     "PatchParams",
@@ -42,6 +46,10 @@ __all__ = [
     "frobenius_closedform",
     "is_twist_realizable",
 ]
+
+
+# C(24, 12) = 2,704,156 blade products; the work grows as C(2n, n)
+FROBENIUS_MAX_N = 12
 
 
 class FrobeniusPairingError(RuntimeError):
@@ -249,51 +257,73 @@ def _mask_to_subset(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _grades(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    # Blade masks grouped by popcount in increasing order, and each mask's
+    # slot in its group.
+    groups: list[list[int]] = [[] for _ in range(n + 1)]
+    slot = []
+    for mask in range(1 << n):
+        group = groups[mask.bit_count()]
+        slot.append(len(group))
+        group.append(mask)
+    return tuple(map(tuple, groups)), tuple(slot)
+
+
+def _pairing_failure(u: int, v: int) -> FrobeniusPairingError:
+    return FrobeniusPairingError(f"pairing identity failed on blades {u:#b}, {v:#b}")
+
+
 def frobenius_bruteforce(params: QuantumParams) -> tuple[Cyclotomic, ...]:
     """Diagonal automorphism scalars of the dual Frobenius pairing, by search.
 
     Every nonzero blade product is a power of zeta_2n times a blade, so the
-    search runs on exponents mod 2n.  For each j the scalar is fixed by
-    pairing y_j against the complementary blade; the candidate is then
-    verified on every pair of blades of complementary degree (a b = phi(b) a
-    in the top component).  A verification failure raises
-    FrobeniusPairingError, since the pairing identity is forced by the
-    structure; it would indicate an implementation bug, not bad input.
+    search runs on exponents mod 2n.  Each of the C(2n, n) ordered pairs of
+    blades of complementary degree is multiplied exactly once: the product
+    y_u y_v must vanish unless v is the complement of u, and then it must be
+    the top blade.  The scalar of y_j is read off the two products of y_j
+    with its complement, and the candidate is verified on every
+    complementary pair (a b = phi(b) a in the top component).  A
+    verification failure raises FrobeniusPairingError, since the pairing
+    identity is forced by the structure; it would indicate an implementation
+    bug, not bad input.  n above FROBENIUS_MAX_N raises CapacityError before
+    any product is formed.
     """
     n = params.n
+    if n > FROBENIUS_MAX_N:
+        raise CapacityError(
+            f"n={n} needs C({2 * n}, {n}) = {comb(2 * n, n)} blade products, "
+            f"beyond the supported bound n <= {FROBENIUS_MAX_N}"
+        )
     m = 2 * n
     top = (1 << n) - 1
-    exponents = []
-    for j in range(n):
-        s = 1 << j
-        t = top ^ s
-        num = _blade_exponent(params, t, s)[1]
-        den = _blade_exponent(params, s, t)[1]
-        exponents.append((num - den) % m)
+    groups, slot = _grades(n)
+    # bound once per call: a local name in the loop, and a replacement set
+    # on the module since the last call is still the one run
+    blade_exponent = _blade_exponent
+    # pair[u]: exponent of y_u y_(top ^ u) = zeta_2n^pair[u] y_top
+    pair = []
+    for u in range(1 << n):
+        c = top ^ u
+        grade = groups[n - u.bit_count()]
+        row = [blade_exponent(params, u, v) for v in grade]
+        r = row[slot[c]]
+        if r is None or r[0] != top:
+            raise _pairing_failure(u, c)
+        if row.count(None) != len(row) - 1:
+            v = next(v for v, x in zip(grade, row) if v != c and x is not None)
+            raise _pairing_failure(u, v)
+        pair.append(r[1])
+    exponents = [(pair[top ^ (1 << j)] - pair[1 << j]) % m for j in range(n)]
 
     # phi(y_V) = prod_(j in V) scalar_j, built from the mask without its lowest bit
     phi = [0] * (1 << n)
     for v in range(1, 1 << n):
         phi[v] = (phi[v & (v - 1)] + exponents[(v & -v).bit_length() - 1]) % m
-    by_grade: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(1 << n):
-        by_grade[bin(mask).count("1")].append(mask)
-    for k in range(n + 1):
-        for u in by_grade[k]:
-            for v in by_grade[n - k]:
-                left = _blade_exponent(params, u, v)
-                right = _blade_exponent(params, v, u)
-                if left is None and right is None:
-                    continue
-                if (
-                    left is None
-                    or right is None
-                    or left[0] != right[0]
-                    or left[1] != (right[1] + phi[v]) % m
-                ):
-                    raise FrobeniusPairingError(
-                        f"pairing identity failed on blades {u:#b}, {v:#b}"
-                    )
+    for u in range(1 << n):
+        c = top ^ u
+        if (pair[u] - pair[c] - phi[c]) % m:
+            raise _pairing_failure(u, c)
     field = CycloField(m)
     return tuple(field.zeta(e) for e in exponents)
 

@@ -114,6 +114,43 @@ def test_frobenius_pairing_failure_is_an_internal_error(capsys, monkeypatch):
     assert "FrobeniusPairingError" in err and "0b11, 0b1100" in err
 
 
+def test_frobenius_overlapping_pair_failure_is_an_internal_error(capsys, monkeypatch):
+    # blades sharing generator 2 must multiply to zero
+    real = koszulcy._blade_exponent
+
+    def corrupted(params, s, t):
+        return (s | t, 0) if (s, t) == (0b0011, 0b0110) else real(params, s, t)
+
+    monkeypatch.setattr(koszulcy, "_blade_exponent", corrupted)
+    code = main(["frobenius", GENERIC4])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == (
+        "error: internal: FrobeniusPairingError: "
+        "pairing identity failed on blades 0b11, 0b110\n"
+    )
+
+
+def test_frobenius_capacity_exit(capsys):
+    code = main(["frobenius", '{"n":13,"twist":[0,0,0,0,0,0,0,0,0,0,0,0,0]}'])
+    out, err = capsys.readouterr()
+    assert code == EXIT_CAPACITY
+    assert out == ""
+    assert err == (
+        "error: n=13 needs C(26, 13) = 10400600 blade products, "
+        "beyond the supported bound n <= 12\n"
+    )
+
+
+def test_overlong_integer_literal_is_an_input_error(capsys):
+    code = main(["eval", "--poly", "1" * 5000 + "*x1", SKEW5])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: at position 0: integer literal of 5000 digits is too long\n"
+
+
 def test_census_partition_failure_is_an_internal_error(capsys, monkeypatch):
     real = census._blocks
     monkeypatch.setattr(census, "_blocks", lambda total, size: real(total, size)[:-1])

@@ -127,6 +127,31 @@ def test_parse_errors_carry_positions(text, where, message):
     assert str(err.value) == f"at position {where}: {message}"
 
 
+# One more digit than the interpreter's default limit on integer string
+# conversion, at each place the parser converts a literal.
+_LONG = "7" * 4301
+_LONG_LITERALS = [
+    (f"{_LONG}*x1", 0),
+    (f"1/{_LONG}", 2),
+    (f"x1^{_LONG}", 3),
+    (f"w^{_LONG}*x1", 2),
+    (f"(1 + w)^{_LONG}", 8),
+    (f"x2*x{_LONG}", 3),
+]
+
+
+@pytest.mark.parametrize(
+    "text,where",
+    _LONG_LITERALS,
+    ids=["numerator", "denominator", "power", "w-power", "group-power", "generator"],
+)
+def test_overlong_integer_literals_are_parse_errors(text, where):
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, 5, 5)
+    assert err.value.position == where
+    assert str(err.value) == f"at position {where}: integer literal of 4301 digits is too long"
+
+
 def test_mandatory_star_between_coefficient_atoms():
     with pytest.raises(ParseError):
         parse_poly("2*w*x1", 5, 5)

@@ -10,10 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qfermat import koszulcy
+from qfermat.census import CapacityError
 from qfermat.cyclo import CycloField
 from qfermat.hilb1 import face_complex
 from qfermat.koszulcy import (
     DEHOMOGENIZE_NOTE,
+    FROBENIUS_MAX_N,
     ExtElement,
     FrobeniusPairingError,
     PatchParams,
@@ -211,8 +213,8 @@ def _pairing_pairs(n):
     """Ordered blade pairs (u, v) with |u| + |v| = n, 0 < |u| < n and u != v,
     except the pairs that fix the scalars (u or v a single generator and the
     other its complement): corrupting one of those moves a scalar, and the
-    sweep then fails first on the pair (0, top).  A pair (u, u) is its own
-    reverse, so a corrupted exponent appears on both sides of its check."""
+    sweep then fails first on the pair (0, top).  The pairs (u, u) are left
+    out as well; the test of which products the sweep forms covers them."""
     top = (1 << n) - 1
     for u in range(1, top):
         for v in range(1, top):
@@ -223,7 +225,7 @@ def _pairing_pairs(n):
             yield u, v
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_pairing_sweep_rejects_any_single_corrupted_pair(n, monkeypatch):
     p = random_params(n, random.Random(n))
     real = koszulcy._blade_exponent
@@ -251,6 +253,43 @@ def test_pairing_sweep_rejects_any_single_corrupted_pair(n, monkeypatch):
     # scalars and the C(n, n/2) pairs (u, u)
     self_paired = comb(n, n // 2) if n % 2 == 0 else 0
     assert checked == comb(2 * n, n) - 2 - 2 * n - self_paired
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_pairing_sweep_forms_each_complementary_degree_product_once(n, monkeypatch):
+    # Every ordered pair (s, t) with |s| + |t| = n is multiplied, overlapping
+    # pairs included, and none twice: C(2n, n) products in all.
+    p = random_params(n, random.Random(n))
+    real = koszulcy._blade_exponent
+    calls = []
+
+    def recorder(params, s, t):
+        calls.append((s, t))
+        return real(params, s, t)
+
+    monkeypatch.setattr(koszulcy, "_blade_exponent", recorder)
+    frobenius_bruteforce(p)
+    every = {
+        (s, t)
+        for s in range(1 << n)
+        for t in range(1 << n)
+        if bin(s).count("1") + bin(t).count("1") == n
+    }
+    assert set(calls) == every
+    assert len(calls) == comb(2 * n, n)
+
+
+def test_frobenius_refuses_n_beyond_the_bound_before_any_product(monkeypatch):
+    calls = []
+    monkeypatch.setattr(koszulcy, "_blade_exponent", lambda *args: calls.append(args))
+    p = random_params(FROBENIUS_MAX_N + 1, random.Random(0))
+    with pytest.raises(CapacityError) as info:
+        compare_frobenius(p)
+    assert str(info.value) == (
+        "n=13 needs C(26, 13) = 10400600 blade products, "
+        "beyond the supported bound n <= 12"
+    )
+    assert calls == []
 
 
 def _generic_frobenius_json(p):
