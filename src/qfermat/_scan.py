@@ -6,12 +6,15 @@ numpy instead of importing it again, and code that never scans never loads
 numpy.
 
 Rows are the full counter digits of zero-first-row representatives, taken
-from one of three streams, each in increasing canonical index:
+from one of four streams, each in increasing canonical index:
 
 * ``"cy"``: the free digits e_bc, 2 <= b < c <= n-1 (1-based), in counter
   order, with each e_jn solved from column j:
   e_jn = sum_(1<i<j) e_ij - sum_(j<k<n) e_jk.  These are exactly the CY
   representatives, and every solved digit depends only on earlier digits;
+* ``"cy-nonzero"``: the CY rows whose free digits are all nonzero, a base
+  n-1 counter shifted by one; on a representative t(1,b,c) = e_bc, so it
+  holds every generic CY representative;
 * ``"nonzero"``: lower digits all nonzero, a base n-1 counter shifted by one;
   it holds every generic representative;
 * ``"all"``: every representative.
@@ -76,23 +79,32 @@ def _counter(start: int, stop: int, base: int, width: int) -> np.ndarray:
     return digits
 
 
+def _stream_counter(n: int, stream: str) -> tuple[bool, bool, int, int]:
+    # (solved, nonzero, base, width) of the counter behind a stream: solved
+    # streams count the CY free digits, the others the lower digits, and the
+    # nonzero streams count in base n-1 and shift every digit up by one.
+    solved = stream in ("cy", "cy-nonzero")
+    nonzero = stream in ("cy-nonzero", "nonzero")
+    width = comb(n - 2, 2) if solved else _lower_width(n)
+    return solved, nonzero, n - 1 if nonzero else n, width
+
+
 def stream_length(n: int, stream: str) -> int:
     """The number of rows in a representative stream."""
-    if stream == "cy":
-        return n ** comb(n - 2, 2)
-    return (n - 1 if stream == "nonzero" else n) ** _lower_width(n)
+    _, _, base, width = _stream_counter(n, stream)
+    return base**width
 
 
 def stream_rows(n: int, stream: str, start: int, stop: int) -> np.ndarray:
     """Full digit rows at positions start .. stop - 1 of a representative stream."""
-    if stream == "cy":
-        return (_counter(start, stop, n, comb(n - 2, 2)) @ _cy_solver(n)) % n
-    width = _lower_width(n)
+    solved, nonzero, base, width = _stream_counter(n, stream)
+    counts = _counter(start, stop, base, width)
+    if nonzero:
+        counts += 1
+    if solved:
+        return (counts @ _cy_solver(n)) % n
     digits = np.zeros((stop - start, n - 1 + width), dtype=np.int64)
-    if stream == "nonzero":
-        digits[:, n - 1 :] = _counter(start, stop, n - 1, width) + 1
-    else:
-        digits[:, n - 1 :] = _counter(start, stop, n, width)
+    digits[:, n - 1 :] = counts
     return digits
 
 

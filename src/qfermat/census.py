@@ -314,8 +314,9 @@ def find_witness(n: int, predicates: Sequence[str]) -> Optional[QuantumParams]:
     condition and the full face complex coincide).  Returns None when the
     space contains no match.  The predicates are constant on twist classes
     and each class's first member is its zero-first-row representative, so
-    only representatives are scanned: the CY ones when cy is wanted, else
-    those with nonzero lower digits when generic is wanted, else all of them.
+    only representatives are scanned: the CY ones when cy is wanted (only
+    those with nonzero free digits when generic is wanted too), else those
+    with nonzero lower digits when generic is wanted, else all of them.
     Chunks grow up to 2^19 rows, and the search stops at the first hit.
     """
     _check_n(n)
@@ -331,7 +332,10 @@ def find_witness(n: int, predicates: Sequence[str]) -> Optional[QuantumParams]:
         raise ValueError("at least one predicate required")
     if {"generic", "full"} <= wanted:
         return None  # triangle (1,2,3) cannot be both zero and nonzero
-    stream = "cy" if "cy" in wanted else "nonzero" if "generic" in wanted else "all"
+    if "cy" in wanted:
+        stream = "cy-nonzero" if "generic" in wanted else "cy"
+    else:
+        stream = "nonzero" if "generic" in wanted else "all"
     from . import _scan
 
     length = _scan.stream_length(n, stream)

@@ -437,24 +437,6 @@ class Cyclotomic:
 
     # -- conversions -----------------------------------------------------------
 
-    def embed(self, target: CycloField) -> "Cyclotomic":
-        """Image under Q(zeta_m) -> Q(zeta_M) for m dividing M."""
-        if target is self.field:
-            return self
-        m, big = self.field.conductor, target.conductor
-        if big % m != 0:
-            raise FieldMismatchError(
-                f"no embedding of conductor {m} into conductor {big}"
-            )
-        step = big // m
-        nums = [0] * target.degree
-        for i, c in enumerate(self.nums):
-            if c:
-                for j, r in enumerate(target.zeta(step * i).nums):
-                    if r:
-                        nums[j] += c * r
-        return _normal(target, nums, self.den)
-
     def to_json(self) -> dict:
         den = self.den
         if den == 1:

@@ -28,19 +28,17 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .cyclo import CycloField, Cyclotomic
-from .qalgebra import ALGEBRA_A, ALGEBRA_B, QuantumParams
+from .qalgebra import ALGEBRA_A, ALGEBRA_B, QuantumParams, _check_algebra
 
 __all__ = [
-    "DichotomyError",
     "FaceComponent",
     "FaceComplex",
     "Hilb1Report",
     "InadmissibleFaceError",
-    "K3_EULER_NUMBER",
     "KIND_FINITE_POINTS",
     "KIND_HYPERSURFACE",
     "KIND_PROJECTIVE_SPACE",
-    "euler_number_n4",
+    "euler_number",
     "face_complex",
     "fermat_edge_points",
     "hilb1",
@@ -53,15 +51,9 @@ KIND_PROJECTIVE_SPACE = "projective-space"
 KIND_HYPERSURFACE = "hypersurface-in-face"
 KIND_FINITE_POINTS = "finite-points"
 
-K3_EULER_NUMBER = 24
-
 
 class InadmissibleFaceError(ValueError):
     """A face with a nonvanishing internal triangle was supplied."""
-
-
-class DichotomyError(ValueError):
-    """Report shape outside the n=4 two-case classification."""
 
 
 def triangle_exponent(params: QuantumParams, i: int, j: int, k: int) -> int:
@@ -248,8 +240,7 @@ def hilb1(params: QuantumParams, algebra: str = ALGEBRA_A) -> Hilb1Report:
     symbolically.  The report is discrete exactly when every maximal face is
     a 2-face, i.e. for generic parameters.
     """
-    if algebra not in (ALGEBRA_A, ALGEBRA_B):
-        raise ValueError(f"algebra tag must be 'A' or 'B', got {algebra!r}")
+    _check_algebra(algebra)
     cx = face_complex(params)
     n = params.n
     comps = []
@@ -277,21 +268,23 @@ def hilb1(params: QuantumParams, algebra: str = ALGEBRA_A) -> Hilb1Report:
     )
 
 
-def euler_number_n4(report: Hilb1Report) -> int:
-    """Euler number of the n=4 point-module space: 24 in both dichotomy cases.
+def euler_number(report: Hilb1Report) -> int:
+    """Euler number of the point scheme of A, from its face complex alone.
 
-    The discrete case returns its exact point count; the full-face case is a
-    quartic surface whose Euler number is the K3 constant.  Anything else is
-    outside the two-case classification and is refused.
+    Split the scheme by support: the points whose nonzero coordinates are
+    exactly an admissible T, |T| >= 2, form an n^(|T|-1)-fold cover (in
+    y_j = x_j^n) of a hyperplane in the torus (C*)^(|T|-1), whose Euler
+    number is (-1)^|T|.  The admissible T are the subsets of size >= 2 of
+    the maximal faces.  At even n the signed face equations give the same
+    number, since x_j -> zeta_2n x_j carries one locus to the other.
     """
-    if report.params.n != 4:
-        raise DichotomyError(f"defined only for n=4, got n={report.params.n}")
     if report.algebra != ALGEBRA_A:
-        raise DichotomyError("defined for the quotient algebra A only")
-    if report.discrete:
-        return report.total_points
-    if report.complex.is_full:
-        return K3_EULER_NUMBER
-    raise DichotomyError(
-        "report shape is neither discrete nor a full-face hypersurface"
-    )
+        raise ValueError("the Euler number is defined for the quotient algebra A only")
+    n = report.params.n
+    supports = {
+        t
+        for face in report.complex.maximal_faces
+        for size in range(2, len(face) + 1)
+        for t in combinations(face, size)
+    }
+    return sum((-1) ** len(t) * n ** (len(t) - 1) for t in supports)

@@ -456,27 +456,6 @@ class DiagAutomorphism:
         if any(s.is_zero() for s in self.scalars):
             raise ValueError("automorphism scalars must be nonzero")
 
-    @property
-    def is_scalar(self) -> bool:
-        """True when every generator is rescaled by the same constant."""
-        first = self.scalars[0]
-        return all(s == first for s in self.scalars[1:])
-
-    def apply(self, poly: SkewPoly) -> SkewPoly:
-        if poly.params != self.params:
-            raise ValueError("the automorphism and the polynomial have different parameters")
-        scalars = [
-            s if s.field is poly.field else s.embed(poly.field) for s in self.scalars
-        ]
-        pairs = []
-        for md, c in poly._terms.items():
-            factor = poly.field.one()
-            for j, e in enumerate(md):
-                if e:
-                    factor = factor * scalars[j] ** e
-            pairs.append((md, c * factor))
-        return _build(poly.params, poly.algebra, poly.field, pairs)
-
     def to_json(self) -> dict:
         return {"scalars": [s.to_json() for s in self.scalars]}
 

@@ -2,7 +2,8 @@
 
 Everything here is written the slow, obvious way, on purpose: adjacent-swap
 bubble sorts, full word expansion, direct subset sweeps, literal root-of-unity
-products, point shift chains walked on root exponents, a census sweep over
+products, point shift chains walked on root exponents, an Euler number by
+inclusion-exclusion over the maximal faces, a census sweep over
 every matrix with no twist quotient, and an inclusion-exclusion count over
 the triangle hyperplanes, commutators with every generator, the
 extended Euclidean inverse over Fractions, and a character-by-character
@@ -155,6 +156,28 @@ def maximal_admissible_subsets(exps):
         s for s in admissible if not any(s < t for t in admissible)
     ]
     return sorted(tuple(sorted(s)) for s in maximal)
+
+
+def euler_number_inclusion_exclusion(exps):
+    """Euler number of A's point scheme as the union, over the maximal
+    admissible subsets, of their Fermat hypersurfaces.  Any intersection of
+    those is a coordinate subspace with k coordinates, cut to a degree-n
+    Fermat hypersurface in P^(k-1) with chi = ((1-n)^k - 1)/n + k, or empty
+    when k < 2.  Inclusion-exclusion over the subsets of maximal faces; a
+    branch stops once its intersection is empty, since every larger one is."""
+    n = len(exps)
+    faces = [frozenset(f) for f in maximal_admissible_subsets(exps)]
+
+    def walk(start, common, sign):
+        total = 0
+        for i in range(start, len(faces)):
+            cut = common & faces[i]
+            k = len(cut)
+            if k >= 2:
+                total += sign * (((1 - n) ** k - 1) // n + k) + walk(i + 1, cut, -sign)
+        return total
+
+    return walk(0, frozenset(range(1, n + 1)), 1)
 
 
 def point_chain_holds(exps, xi, steps, fermat=False):

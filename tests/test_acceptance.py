@@ -15,7 +15,7 @@ import time
 from qfermat.census import run_census
 from qfermat.cyclo import CycloField
 from qfermat.expr import lower, parse_poly, print_poly
-from qfermat.hilb1 import euler_number_n4, face_complex, hilb1
+from qfermat.hilb1 import euler_number, face_complex, hilb1
 from qfermat.koszulcy import (
     column_sums,
     compare_frobenius,
@@ -101,7 +101,7 @@ def test_criterion_2_witness_point_counts(generic_cy_witness4, generic_cy_witnes
         and r5.total_points == 50
         and r4.discrete
         and r4.total_points == 24
-        and euler_number_n4(r4) == 24
+        and euler_number(r4) == 24
     )
     record(
         2,

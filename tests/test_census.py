@@ -194,11 +194,17 @@ def test_cy_stream_lists_the_cy_representatives_in_order(n, length):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_witness_streams_list_their_representatives_in_order(n):
     """The nonzero stream is exactly the representatives with every lower
-    digit nonzero, and the all stream every representative, in index order;
-    a chunk of a stream is the same slice of the whole stream."""
+    digit nonzero, the all stream every representative, and the cy-nonzero
+    stream the CY representatives whose free digits e_bc (1 < b < c < n) are
+    nonzero, in index order; a chunk of a stream is the same slice of the
+    whole stream."""
     reps = _oracles.representative_digits(n, 0, n ** comb(n - 1, 2))
     nonzero = reps[(reps[:, n - 1 :] != 0).all(axis=1)]
-    for stream, expected in (("nonzero", nonzero), ("all", reps), ("cy", None)):
+    cy = _oracles.representative_scan(n, 0)["cy_rows"]
+    free = [k for k, (b, c) in enumerate(combinations(range(n), 2)) if 0 < b and c < n - 1]
+    cy_nonzero = cy[(cy[:, free] != 0).all(axis=1)]
+    streams = (("nonzero", nonzero), ("all", reps), ("cy", None), ("cy-nonzero", cy_nonzero))
+    for stream, expected in streams:
         length = _scan.stream_length(n, stream)
         rows = _scan.stream_rows(n, stream, 0, length)
         if expected is not None:

@@ -148,18 +148,6 @@ def test_power_laws(m, p, q, data):
     assert (a ** p) ** q == a ** (p * q)
 
 
-@given(st.integers(2, 8), st.integers(1, 3), st.data())
-def test_embedding_into_larger_conductor_is_a_ring_map(m, k, data):
-    a = data.draw(field_elements(conductor=m))
-    b = data.draw(field_elements(conductor=m))
-    target = CycloField(m * k)
-    assert a.embed(target) + b.embed(target) == (a + b).embed(target)
-    assert a.embed(target) * b.embed(target) == (a * b).embed(target)
-    # the primitive root maps to the matching power of the larger root
-    f = CycloField(m)
-    assert f.zeta(1).embed(target) == target.zeta(k)
-
-
 def test_mixed_field_arithmetic_is_rejected():
     a = CycloField(4).zeta(1)
     b = CycloField(5).zeta(1)

@@ -1,6 +1,7 @@
 """Point modules: triangles, face complexes, shift orbits, point counts."""
 
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
 from math import comb, gcd
 
 import pytest
@@ -10,13 +11,11 @@ from hypothesis import strategies as st
 from qfermat.census import find_witness
 from qfermat.cyclo import CycloField
 from qfermat.hilb1 import (
-    DichotomyError,
     InadmissibleFaceError,
-    K3_EULER_NUMBER,
     KIND_FINITE_POINTS,
     KIND_HYPERSURFACE,
     KIND_PROJECTIVE_SPACE,
-    euler_number_n4,
+    euler_number,
     face_complex,
     fermat_edge_points,
     hilb1,
@@ -304,6 +303,7 @@ def test_discreteness_coincides_with_genericity(p):
     if report.discrete:
         assert report.total_points == p.n * comb(p.n, 2)
         assert sum(c.point_count for c in report.components) == report.total_points
+        assert euler_number(report) == report.total_points
 
 
 def test_report_json_shape(generic_cy_witness4):
@@ -324,21 +324,46 @@ def test_report_json_shape(generic_cy_witness4):
 
 
 def test_euler_number_on_both_dichotomy_shapes(generic_cy_witness4):
-    assert euler_number_n4(hilb1(generic_cy_witness4, "A")) == 24
-    assert euler_number_n4(hilb1(commutative_params(4), "A")) == K3_EULER_NUMBER
-    assert euler_number_n4(hilb1(from_twist([1, 1, 0, 0]), "A")) == 24
+    assert euler_number(hilb1(generic_cy_witness4, "A")) == 24
+    assert euler_number(hilb1(commutative_params(4), "A")) == 24
+    assert euler_number(hilb1(from_twist([1, 1, 0, 0]), "A")) == 24
 
 
-def test_euler_number_refuses_intermediate_shapes():
-    with pytest.raises(DichotomyError):
-        euler_number_n4(hilb1(INTERMEDIATE_4, "A"))
+def test_euler_number_of_an_intermediate_shape():
+    # Maximal faces {1,2,3}, {1,4}, {2,4}, {3,4}: the Fermat quartic curve
+    # on {1,2,3} (chi = -4) and the 12 points on the edges to vertex 4.
+    assert euler_number(hilb1(INTERMEDIATE_4, "A")) == 8
 
 
-def test_euler_number_refuses_other_sizes():
-    with pytest.raises(DichotomyError):
-        euler_number_n4(hilb1(commutative_params(5), "A"))
+def test_euler_number_of_a_full_face_at_every_n():
+    """The smooth Fermat hypersurface of degree n in P^(n-1): the elliptic
+    curve, the K3 surface, the quintic threefold and the sextic fourfold."""
+    for n, chi in ((3, 0), (4, 24), (5, -200), (6, 2610)):
+        assert chi == ((1 - n) ** n - 1) // n + n
+        assert euler_number(hilb1(commutative_params(n), "A")) == chi
+        assert euler_number(hilb1(from_twist(list(range(n))), "A")) == chi
 
 
 def test_euler_number_refuses_the_ambient_algebra(generic_cy_witness4):
-    with pytest.raises(DichotomyError):
-        euler_number_n4(hilb1(generic_cy_witness4, "B"))
+    with pytest.raises(ValueError, match="quotient algebra A"):
+        euler_number(hilb1(generic_cy_witness4, "B"))
+
+
+def _cy_classes(n):
+    # One zero-first-row representative per CY twist class.
+    for digits in product(range(n), repeat=comb(n - 1, 2)):
+        exps = _oracles.exps_from_digits(n, (0,) * (n - 1) + digits)
+        if len(set(_oracles.column_sums(exps))) == 1:
+            yield validate_params(n, exps)
+
+
+@pytest.mark.parametrize(
+    "n, table", [(4, {24: 4}), (5, {-200: 1, -25: 40, 0: 60, 50: 24})], ids=["4", "5"]
+)
+def test_euler_numbers_of_the_cy_classes(n, table):
+    assert Counter(euler_number(hilb1(p, "A")) for p in _cy_classes(n)) == table
+
+
+@given(params_st(min_n=3, max_n=6))
+def test_euler_number_matches_inclusion_exclusion_over_maximal_faces(p):
+    assert euler_number(hilb1(p, "A")) == _oracles.euler_number_inclusion_exclusion(p.exps)

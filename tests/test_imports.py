@@ -87,28 +87,41 @@ def test_importing_a_submodule_binds_the_module():
     assert isinstance(m, ModuleType)
 
 
-def _public_names(tree: ast.Module):
-    """(__all__ names, lines of the __all__ statement, lines of each top-level
-    definition by name)."""
-    names, all_lines, defined = [], set(), {}
+def _lines(node: ast.stmt) -> set[int]:
+    first = min([node.lineno, *(d.lineno for d in getattr(node, "decorator_list", []))])
+    return set(range(first, node.end_lineno + 1))
+
+
+def _public_names(tree: ast.Module) -> list[tuple[str, set[int]]]:
+    """(name, lines to skip) for each name in __all__ and for each public
+    method of a class in __all__.  A name skips the __all__ statement and its
+    own definition, a method its own definition."""
+    names, all_lines, defined, methods = [], set(), {}, {}
     for node in tree.body:
-        first = min([node.lineno, *(d.lineno for d in getattr(node, "decorator_list", []))])
-        lines = set(range(first, node.end_lineno + 1))
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            defined[node.name] = lines
+            defined[node.name] = _lines(node)
+        if isinstance(node, ast.ClassDef):
+            methods[node.name] = [
+                (m.name, _lines(m))
+                for m in node.body
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+            ]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             for t in getattr(node, "targets", [getattr(node, "target", None)]):
                 if isinstance(t, ast.Name) and t.id == "__all__":
-                    names, all_lines = ast.literal_eval(node.value), lines
+                    names, all_lines = ast.literal_eval(node.value), _lines(node)
                 elif isinstance(t, ast.Name):
-                    defined[t.id] = lines
-    return names, all_lines, defined
+                    defined[t.id] = _lines(node)
+    public = [(name, all_lines | defined.get(name, set())) for name in names]
+    return public + [m for name in names for m in methods.get(name, [])]
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    """A name in a module's __all__ must appear as a word outside its own
-    definition and the __all__ list: elsewhere in its module, in another
-    package module, in README.md, in bench/*.py or in the acceptance tests."""
+    """A name in a module's __all__, or a public method of a class in it,
+    must appear as a word outside its own definition and the __all__ list:
+    elsewhere in its module, in another package module, in README.md, in
+    bench/*.py or in the acceptance tests.  A `def` of the same name
+    elsewhere does not count."""
     shared = [
         (ROOT / "README.md").read_text(encoding="utf-8"),
         (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"),
@@ -117,14 +130,12 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     orphans = []
     for path in MODULES:
         text = path.read_text(encoding="utf-8")
-        names, all_lines, defined = _public_names(ast.parse(text))
         others = [p.read_text(encoding="utf-8") for p in MODULES if p != path]
-        for name in names:
-            skip = all_lines | defined.get(name, set())
+        for name, skip in _public_names(ast.parse(text)):
             own = "\n".join(
                 line for k, line in enumerate(text.splitlines(), 1) if k not in skip
             )
-            word = re.compile(rf"\b{re.escape(name)}\b")
+            word = re.compile(rf"(?<!def )\b{re.escape(name)}\b")
             if not any(word.search(t) for t in [own, *others, *shared]):
                 orphans.append(f"{path.name}:{name}")
     assert not orphans, f"public names with no caller outside the tests: {orphans}"
