@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .census import CapacityError, run_census
@@ -24,24 +23,11 @@ from .qalgebra import ALGEBRA_A, ALGEBRA_B, QuantumParams, is_central
 
 __all__ = ["build_parser", "entry", "main"]
 
-WORKERS_ENV = "QFERMAT_WORKERS"
-
 EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
 EXIT_INTERNAL = 4
-
-
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}")
-    if value < 1:
-        raise ValueError(f"{WORKERS_ENV} must be >= 1, got {value}")
-    return value
 
 
 def _load_params(source: str) -> QuantumParams:
@@ -113,8 +99,7 @@ def _cmd_hilb1(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    workers = args.workers if args.workers is not None else _default_workers()
-    report = run_census(args.n, workers=workers, witness_limit=args.witness_limit)
+    report = run_census(args.n, workers=args.workers, witness_limit=args.witness_limit)
     payload = report.to_json_dict()
     lines = [
         f"n: {report.n}",
@@ -257,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help=f"parallel workers (default: ${WORKERS_ENV} or 1)",
+        default=1,
+        help="parallel workers (default: 1)",
     )
     p.add_argument("--witness-limit", type=int, default=3)
     p.add_argument("--csv", default=None, help="also write per-predicate counts as CSV")
@@ -316,6 +301,10 @@ def main(argv=None) -> int:
         # parser raises it on input nested too deeply, which is an input fault.
         sys.stderr.write("error: input nested too deeply to parse\n")
         return EXIT_INPUT
+    except MemoryError:
+        # Out of memory is a capacity fault, never "predicate false".
+        sys.stderr.write("error: out of memory\n")
+        return EXIT_CAPACITY
     except (RuntimeError, InadmissibleFaceError) as exc:
         # Internal self-checks (FrobeniusPairingError, the census partition
         # count) raise RuntimeError, and hilb1 raises InadmissibleFaceError

@@ -27,6 +27,7 @@ from .qalgebra import (
     DiagAutomorphism,
     ParamsError,
     QuantumParams,
+    _column_phases,
     _sum_terms,
 )
 
@@ -57,9 +58,8 @@ class FrobeniusPairingError(RuntimeError):
 
 
 def column_sums(params: QuantumParams) -> tuple[int, ...]:
-    """s_j = sum_i e_ij mod n, one value per column."""
-    n = params.n
-    return tuple(sum(params.exps[i][j] for i in range(n)) % n for j in range(n))
+    """s_j = sum_i e_ij mod n, one value per column: the column phases of x_1...x_n."""
+    return next(_column_phases(params, [(1,) * params.n]))
 
 
 @dataclass(frozen=True)

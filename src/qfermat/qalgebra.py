@@ -164,6 +164,11 @@ def _runs_phase(params: QuantumParams, runs) -> tuple[int, Multidegree]:
     return phase % params.n, tuple(degs)
 
 
+def _runs(md: Multidegree) -> list[tuple[int, int]]:
+    # The (generator, power) runs of the sorted word x^md.
+    return [(i, e) for i, e in enumerate(md, 1) if e]
+
+
 def normal_order(params: QuantumParams, word: Iterable[int]) -> tuple[int, Multidegree]:
     """Phase exponent (mod n) and multidegree of a word in the generators.
 
@@ -176,20 +181,6 @@ def normal_order(params: QuantumParams, word: Iterable[int]) -> tuple[int, Multi
         if not isinstance(a, int) or isinstance(a, bool) or not 1 <= a <= n:
             raise ValueError(f"word letter {a!r} out of range 1..{n}")
     return _runs_phase(params, [(a, 1) for a in w])
-
-
-def _product_phase(exps, a: Multidegree, b: Multidegree) -> int:
-    # Phase of x^a * x^b: every x_i in the left factor crosses every x_j (j < i)
-    # in the right factor exactly once.
-    total = 0
-    for i, ai in enumerate(a):
-        if ai:
-            row = exps[i]
-            for j in range(i):
-                bj = b[j]
-                if bj:
-                    total += ai * bj * row[j]
-    return total
 
 
 def _reduce_pairs_a(n: int, pairs) -> Iterator[tuple[Multidegree, Cyclotomic]]:
@@ -392,19 +383,20 @@ def multiply(f: SkewPoly, g: SkewPoly) -> SkewPoly:
     if not isinstance(f, SkewPoly) or not isinstance(g, SkewPoly):
         raise TypeError("multiply expects two SkewPoly operands")
     f._check_compatible(g)
-    n = f.params.n
-    exps = f.params.exps
+    params = f.params
     field = f.field
-    scale = field.conductor // n
+    scale = field.conductor // params.n
+    right = [(_runs(b), cb) for b, cb in g._terms.items()]
     pairs = []
     for a, ca in f._terms.items():
-        for b, cb in g._terms.items():
-            ph = _product_phase(exps, a, b) % n
+        left = _runs(a)
+        for runs, cb in right:
+            ph, md = _runs_phase(params, left + runs)
             coeff = ca * cb
             if ph:
                 coeff = coeff * field.zeta(scale * ph)
-            pairs.append((tuple(x + y for x, y in zip(a, b)), coeff))
-    return _build(f.params, f.algebra, field, pairs)
+            pairs.append((md, coeff))
+    return _build(params, f.algebra, field, pairs)
 
 
 def fermat_element(params: QuantumParams, algebra: str = ALGEBRA_B, field=None) -> SkewPoly:
@@ -423,24 +415,29 @@ def product_of_generators(params: QuantumParams, algebra: str = ALGEBRA_B, field
     return SkewPoly.monomial(params, (1,) * params.n, 1, algebra, field)
 
 
-def is_central(poly: SkewPoly) -> bool:
-    """Whether the polynomial commutes with every generator.
+def _column_phases(params: QuantumParams, multidegrees) -> Iterator[tuple[int, ...]]:
+    """The phase vector p(a), p_j(a) = sum_i a_i e_ij mod n, of each x^a.
 
-    Decided from exponents, with no products: the polynomial is central iff
-    every term x^a has sum_i a_i e_ij = 0 mod n for every j.  In B,
-    x^a x_j = zeta_n^(sum_i a_i e_ij) x_j x^a, and distinct a give distinct
-    a + e_j, so no two terms of a commutator cancel.  In A nothing reduces
-    for j != n.  For j = n only the terms with a_n = n - 1 reduce, and their
-    part of the commutator becomes D(y) * (y_1^n + ... + y_(n-1)^n) in the
+    x^a x_j = zeta_n^(p_j(a)) x_j x^a, so for f = sum_a c_a x^a and a scalar s,
+    f x_j - s x_j f = x_j * sum_a c_a (zeta_n^(p_j(a)) - s) x^a.  Left
+    multiplication by x_j is injective, so this vanishes iff every term has
+    zeta_n^(p_j(a)) = s: in B, distinct a give distinct a + e_j.  In A
+    nothing reduces for j != n.  For j = n only the terms with a_n = n - 1
+    reduce, and their part becomes D(y) * (y_1^n + ... + y_(n-1)^n) in the
     commutative ring of x_1, ..., x_(n-1), apart from the unreduced terms
     (which keep a last exponent >= 1).  A product of nonzero polynomials is
-    nonzero, so again nothing cancels.
+    nonzero, so nothing cancels.  Centrality and normalizers are therefore
+    read off these vectors alone.
     """
-    n = poly.params.n
-    cols = tuple(zip(*poly.params.exps))
-    return all(
-        sum(a * e for a, e in zip(md, col)) % n == 0 for md in poly._terms for col in cols
-    )
+    n = params.n
+    cols = tuple(zip(*params.exps))
+    return (tuple(sum(a * e for a, e in zip(md, col)) % n for col in cols) for md in multidegrees)
+
+
+def is_central(poly: SkewPoly) -> bool:
+    """Whether the polynomial commutes with every generator: every term has
+    all-zero column phases (see _column_phases)."""
+    return not any(any(p) for p in _column_phases(poly.params, poly._terms))
 
 
 @dataclass(frozen=True)
@@ -463,30 +460,18 @@ class DiagAutomorphism:
 def normalizing_automorphism(poly: SkewPoly) -> Optional[DiagAutomorphism]:
     """The diagonal automorphism nu with  poly * x_j = nu(x_j) * poly,  if any.
 
-    Returns None when no diagonal automorphism normalizes the polynomial.
+    It exists iff every term has the same column phases p (see
+    _column_phases), and then nu(x_j) = zeta_n^(p_j) x_j.  Returns None
+    otherwise.
     """
     if poly.is_zero():
         raise ValueError("the zero polynomial normalizes trivially; no unique automorphism")
-    scalars = []
-    for j in range(1, poly.params.n + 1):
-        g = SkewPoly.generator(poly.params, j, poly.algebra, poly.field)
-        left = poly * g
-        right = g * poly
-        if right.is_zero():
-            if left.is_zero():
-                scalars.append(poly.field.one())
-                continue
-            return None
-        md, ref = next(iter(right._terms.items()))
-        cand = left._terms.get(md)
-        if cand is None:
-            return None
-        c = cand / ref
-        if (left - right.scale(c)).is_zero():
-            scalars.append(c)
-        else:
-            return None
-    return DiagAutomorphism(poly.params, tuple(scalars))
+    phases = set(_column_phases(poly.params, poly._terms))
+    if len(phases) != 1:
+        return None
+    field = poly.field
+    scale = field.conductor // poly.params.n
+    return DiagAutomorphism(poly.params, tuple(field.zeta(scale * p) for p in phases.pop()))
 
 
 def iter_multidegrees(n: int, total: int, last_cap: int | None = None) -> Iterator[Multidegree]:

@@ -3,19 +3,20 @@
 Everything here is written the slow, obvious way, on purpose: adjacent-swap
 bubble sorts, full word expansion, direct subset sweeps, literal root-of-unity
 products, point shift chains walked on root exponents, an Euler number by
-inclusion-exclusion over the maximal faces, a census sweep over
-every matrix with no twist quotient, and an inclusion-exclusion count over
-the triangle hyperplanes, commutators with every generator, the
-extended Euclidean inverse over Fractions, and a character-by-character
+inclusion-exclusion over the maximal faces, a census sweep over every matrix
+with no twist quotient, an inclusion-exclusion count over the triangle
+hyperplanes, commutators and normalizers from products with every generator,
+the extended Euclidean inverse over Fractions, and a character-by-character
 polynomial parser.  None of it shares code with the package under test, with
 four exceptions: `enumerate_params` only wraps its matrices with the
 package's validator; the representative-scan oracle reuses the scanner's
 predicate masks and lift, because it checks which rows the census visits,
-not what the predicates mean; the commutator oracle multiplies with the
-package's `multiply`, because it checks that the exponent rule of
-`is_central` decides what the products would; and `reference_parse_poly`
-evaluates coefficients with the package's `CycloField` arithmetic, because
-it checks how text is read, not how Q(zeta) multiplies.
+not what the predicates mean; the commutator and normalizer oracles multiply
+with the package's `multiply`, because they check that the column-phase rule
+behind `is_central` and `normalizing_automorphism` decides what the products
+would; and `reference_parse_poly` evaluates coefficients with the package's
+`CycloField` arithmetic, because it checks how text is read, not how Q(zeta)
+multiplies.
 """
 
 from fractions import Fraction
@@ -611,6 +612,27 @@ def commutator_is_central(poly):
         if not (multiply(g, poly) - multiply(poly, g)).is_zero():
             return False
     return True
+
+
+def normalizer_by_products(poly):
+    """The scalars s_j with poly*x_j = s_j x_j*poly for every generator, or
+    None when some generator has no such scalar: each s_j is read off one
+    term of the two full products and checked on all of them."""
+    scalars = []
+    for j in range(1, poly.params.n + 1):
+        g = SkewPoly.generator(poly.params, j, poly.algebra, poly.field)
+        left = multiply(poly, g)
+        right = multiply(g, poly)
+        assert not right.is_zero(), "x_j * poly vanished for a nonzero poly"
+        md, ref = next(iter(right.terms.items()))
+        cand = left.terms.get(md)
+        if cand is None:
+            return None
+        s = cand / ref
+        if not (left - right.scale(s)).is_zero():
+            return None
+        scalars.append(s)
+    return tuple(scalars)
 
 
 def _trim(poly):

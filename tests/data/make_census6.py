@@ -16,7 +16,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
 import sys
 from itertools import combinations
 from pathlib import Path
@@ -49,7 +48,6 @@ def record_witness(predicates: list[str]) -> dict:
 def main() -> None:
     from qfermat.census import run_census
 
-    os.environ.pop("QFERMAT_WORKERS", None)
     blob = {
         "cli": record_cli(CLI_ARGV),
         "witness_limit": WITNESS_LIMIT,

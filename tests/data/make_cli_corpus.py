@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -155,7 +154,6 @@ def record(argv: list[str]) -> dict:
 
 
 def main() -> None:
-    os.environ.pop("QFERMAT_WORKERS", None)
     entries = [record(argv) for argv in corpus()]
     OUT.write_text(json.dumps(entries, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
     sys.stdout.write(f"wrote {len(entries)} entries to {OUT}\n")

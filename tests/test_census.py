@@ -376,8 +376,7 @@ def test_six_generator_report_matches_the_recording():
     assert json.dumps(report) == json.dumps(CENSUS6["report"])
 
 
-def test_six_generator_cli_matches_the_recording(capsys, monkeypatch):
-    monkeypatch.delenv("QFERMAT_WORKERS", raising=False)
+def test_six_generator_cli_matches_the_recording(capsys):
     entry = CENSUS6["cli"]
     code = main(entry["argv"])
     out, err = capsys.readouterr()

@@ -208,6 +208,20 @@ def test_deeply_nested_poly_is_an_input_error(capsys):
     assert err == "error: input nested too deeply to parse\n"
 
 
+def test_out_of_memory_is_a_capacity_error(capsys, monkeypatch):
+    # parse_params allocates n^2 cells before any check, so a huge n can
+    # exhaust memory there; that must never read as "predicate false".
+    def exhausted(text):
+        raise MemoryError
+
+    monkeypatch.setattr("qfermat.cli.parse_params", exhausted)
+    code = main(["check-cy", '{"n":100000,"entries":[]}'])
+    out, err = capsys.readouterr()
+    assert code == EXIT_CAPACITY
+    assert out == ""
+    assert err == "error: out of memory\n"
+
+
 # ------------------------------------------------------------------ centrality
 
 
@@ -351,22 +365,6 @@ def test_census_csv_sidecar(capsys, tmp_path):
     rows = out_csv.read_text(encoding="utf-8").strip().splitlines()
     assert rows[0].startswith("predicate")
     assert any(line.startswith("total,27") for line in rows[1:])
-
-
-def test_bad_workers_env_is_an_input_error(capsys, monkeypatch):
-    monkeypatch.setenv("QFERMAT_WORKERS", "many")
-    code = main(["census", "--n", "3"])
-    out, err = capsys.readouterr()
-    assert code == EXIT_INPUT
-    assert out == ""
-    assert err == "error: QFERMAT_WORKERS must be an integer, got 'many'\n"
-
-
-def test_census_workers_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("QFERMAT_WORKERS", "2")
-    code, blob = run_json(capsys, "census", "--n", "3")
-    assert code == EXIT_TRUE
-    assert blob["count_cy"] == 9
 
 
 def test_census_json_is_byte_identical_across_runs(capsys):

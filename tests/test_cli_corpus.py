@@ -19,8 +19,7 @@ CORPUS = json.loads(
 
 
 @pytest.mark.parametrize("entry", CORPUS, ids=[str(i) for i in range(len(CORPUS))])
-def test_cli_output_matches_the_corpus(entry, capsys, monkeypatch):
-    monkeypatch.delenv("QFERMAT_WORKERS", raising=False)
+def test_cli_output_matches_the_corpus(entry, capsys):
     code = main(entry["argv"])
     out, err = capsys.readouterr()
     assert (code, out, err) == (entry["code"], entry["stdout"], entry["stderr"]), entry["argv"]

@@ -5,7 +5,7 @@ from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from qfermat.cyclo import CycloField
@@ -147,6 +147,37 @@ def test_monomial_product_agrees_with_word_expansion(p, data):
     md = tuple(x + y for x, y in zip(a, b))
     field = CycloField(p.n)
     assert prod.terms == {md: field.zeta(phase)}
+
+
+@given(params_st(min_n=2, max_n=5), st.sampled_from([1, 2]), st.sampled_from([ALGEBRA_B, ALGEBRA_A]), st.data())
+def test_product_of_sums_agrees_with_termwise_word_expansion(p, mult, algebra, data):
+    # Each term pair's phase comes from the bubble-sorted word of the pair,
+    # so no package phase code enters the expected product.
+    n = p.n
+    field = CycloField(n * mult)
+    last = st.integers(0, 2 if algebra == ALGEBRA_B else min(2, n - 1))
+
+    def draw_terms():
+        terms = {}
+        for _ in range(data.draw(st.integers(1, 4))):
+            md = data.draw(multidegree_st(n - 1, max_entry=2)) + (data.draw(last),)
+            root = field.zeta(data.draw(st.integers(0, field.conductor - 1)))
+            terms[md] = root * data.draw(st.sampled_from([1, -1, 2]))
+        return terms
+
+    f_terms, g_terms = draw_terms(), draw_terms()
+    expected = {}
+    for a, ca in f_terms.items():
+        for b, cb in g_terms.items():
+            md = tuple(x + y for x, y in zip(a, b))
+            c = ca * cb * field.zeta(mult * _oracles.word_product_phase(p.exps, a, b))
+            expected[md] = expected[md] + c if md in expected else c
+    expected = {md: c for md, c in expected.items() if not c.is_zero()}
+    if algebra == ALGEBRA_A:
+        expected = _oracles.naive_reduce_a(n, expected)
+    f = SkewPoly(p, algebra, f_terms, field)
+    g = SkewPoly(p, algebra, g_terms, field)
+    assert multiply(f, g).terms == expected
 
 
 @st.composite
@@ -334,7 +365,7 @@ def _box(p, last):
 
 
 @st.composite
-def centrality_case(draw):
+def centrality_case(draw, shifted=False):
     p = draw(params_st(min_n=2, max_n=6))
     n = p.n
     algebra = draw(st.sampled_from([ALGEBRA_A, ALGEBRA_B]))
@@ -342,6 +373,9 @@ def centrality_case(draw):
     # last exponent n - 1 is the case that reduces in A when multiplied by x_n
     last = draw(st.sampled_from([0, 1, n - 1, n - 1, n, 2 * n - 1]))
     pools = [pool for pool in _box(p, last) if pool]
+    # A common factor x^shift (last exponent 0) moves every column phase of
+    # the central pool to the same nonzero vector.
+    shift = draw(multidegree_st(n - 1, max_entry=2)) + (0,) if shifted else (0,) * n
     terms = {}
     for _ in range(draw(st.integers(1, 4))):
         kind = draw(st.integers(0, len(pools)))
@@ -351,6 +385,7 @@ def centrality_case(draw):
             md = tuple(draw(st.lists(st.integers(0, 3), min_size=n - 1, max_size=n - 1)))
             md += (draw(st.sampled_from([0, 1, n - 1, n])),)
         coeff = draw(st.sampled_from([1, -1, 2, 3]))
+        md = tuple(a + c for a, c in zip(md, shift))
         terms[md] = field.zeta(draw(st.integers(0, field.conductor - 1))) * coeff
     return SkewPoly(p, algebra, terms, field)
 
@@ -406,6 +441,44 @@ def test_normalizing_automorphism_property(p):
         assert f * xj == xj.scale(nu.scalars[j - 1]) * f
     one = CycloField(p.n).one()
     assert is_central(f) == all(c == one for c in nu.scalars)
+
+
+def _same_normalizer(poly):
+    nu = normalizing_automorphism(poly)
+    want = _oracles.normalizer_by_products(poly)
+    assert (None if nu is None else nu.scalars) == want
+    return want is not None
+
+
+@settings(max_examples=300)
+@given(centrality_case(shifted=True))
+def test_normalizing_automorphism_agrees_with_the_product_oracle(poly):
+    assume(not poly.is_zero())
+    event("normalizer" if _same_normalizer(poly) else "none")
+
+
+def test_normalizing_automorphism_agrees_with_the_product_oracle_on_reducing_terms_of_a():
+    # As for centrality: terms with a_n = n - 1 leave the PBW basis of A
+    # under x_n.  A common factor x^shift gives the central pool a shared
+    # nonzero phase vector; near misses split it.
+    rng = random.Random(37)
+    seen = {True: 0, False: 0}
+    for _ in range(200):
+        n = rng.randrange(2, 7)
+        p = random_params(n, rng)
+        field = CycloField(n * rng.choice((1, 2)))
+        central, near = _box(p, n - 1)
+        central = central or [(0,) * (n - 1) + (n - 1,)]
+        picks = [rng.choice(central) for _ in range(rng.randrange(1, 4))]
+        if near and rng.random() < 0.5:
+            picks.append(rng.choice(near))
+        shift = tuple(rng.randrange(3) for _ in range(n - 1)) + (0,)
+        terms = {
+            tuple(a + c for a, c in zip(md, shift)): field.zeta(rng.randrange(field.conductor)) * rng.choice((1, -2))
+            for md in picks
+        }
+        seen[_same_normalizer(SkewPoly(p, ALGEBRA_A, terms, field))] += 1
+    assert seen[True] > 20 and seen[False] > 20
 
 
 def test_normalizing_automorphism_of_central_element_is_identity():

@@ -51,7 +51,6 @@ def test_document_forms_parse(doc):
 @pytest.mark.parametrize("argv, shown", EXAMPLES, ids=[" ".join(a[:1]) for a, _ in EXAMPLES])
 def test_examples_replay(argv, shown, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("QFERMAT_WORKERS", raising=False)
     code = main(argv)
     out = capsys.readouterr().out
     assert code == EXIT_TRUE
