@@ -390,8 +390,40 @@ def print_poly(poly: SkewPoly) -> str:
 # -- parameter documents ----------------------------------------------------------------
 
 
+class _LongLiteral:
+    """A JSON integer literal beyond the interpreter's limit on integer string
+    conversion, kept by its digit count."""
+
+    __slots__ = ("digits",)
+
+    def __init__(self, digits: int):
+        self.digits = digits
+
+
+def _int_literal(text: str) -> Union[int, _LongLiteral]:
+    try:
+        return int(text)
+    except ValueError:
+        return _LongLiteral(len(text.lstrip("-")))
+
+
+def _loads(document: str):
+    try:
+        return json.loads(document)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        # an integer literal past the digit limit: decode again, keeping such
+        # literals for _require_int to name with their field
+        return json.loads(document, parse_int=_int_literal)
+
+
 def _require_int(value, path: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
+        if isinstance(value, _LongLiteral):
+            raise ParamsDocError(
+                f"{path}: integer literal of {value.digits} digits is too long"
+            )
         raise ParamsDocError(f"{path}: expected an integer, got {value!r}")
     return value
 
@@ -404,7 +436,7 @@ def parse_params(document: Union[str, dict]) -> QuantumParams:
     """
     if isinstance(document, str):
         try:
-            data = json.loads(document)
+            data = _loads(document)
         except json.JSONDecodeError as exc:
             raise ParamsDocError(f"invalid JSON: {exc}") from exc
     else:

@@ -110,34 +110,38 @@ def cy_criterion(params: QuantumParams) -> CyReport:
 # -- twisted exterior dual ------------------------------------------------------
 
 
-def _blade_exponent(params: QuantumParams, s: int, t: int):
-    # Product y_S * y_T of basis blades given as bitmasks (bit i = generator i+1).
-    # Returns (mask, e) with y_S y_T = zeta_(2n)^e y_(S|T), or None when the
-    # blades share a generator.
-    # Each crossing of a in S past b in T with a > b contributes -zeta_n^(e_ba):
+def _crossings(params: QuantumParams) -> list[list[int]]:
+    # Row b, indexed by a mask h of the generators above b (bit k is generator
+    # b+1+k), holds the zeta_(2n) exponent that generator b of a right blade
+    # picks up crossing the left blade's generators h.  Each crossing of a
+    # past b with a > b contributes -zeta_n^(e_ba) = zeta_(2n)^(n + 2 e_ba):
     # from q_ba y_b y_a + y_a y_b = 0 we get y_a y_b = -q_ba y_b y_a.
+    n = params.n
+    m = 2 * n
+    table = []
+    for b, exps in enumerate(params.exps):
+        row = [0]
+        for e in exps[b + 1:]:
+            w = (n + 2 * e) % m
+            row += [(x + w) % m for x in row]
+        table.append(row)
+    return table
+
+
+def _blade_exponent(cross: list[list[int]], s: int, t: int):
+    # Product y_S * y_T of basis blades given as bitmasks (bit i = generator i+1),
+    # with cross = _crossings(params).  Returns (mask, e) with
+    # y_S y_T = zeta_(2n)^e y_(S|T), or None when the blades share a generator.
     if s & t:
         return None
-    n = params.n
-    exps = params.exps
-    inv = 0
-    ph = 0
+    e = 0
     tt = t
     while tt:
-        b = (tt & -tt).bit_length() - 1
-        tt &= tt - 1
-        hi = s >> (b + 1)
-        if hi:
-            row = exps[b]
-            a = b + 1
-            while hi:
-                if hi & 1:
-                    inv += 1
-                    ph += row[a]
-                hi >>= 1
-                a += 1
-    # -zeta_n^p = zeta_(2n)^(n + 2p)
-    return s | t, (n * inv + 2 * ph) % (2 * n)
+        low = tt & -tt
+        b = low.bit_length() - 1
+        e += cross[b][s >> (b + 1)]
+        tt ^= low
+    return s | t, e % (2 * len(cross))
 
 
 class ExtElement:
@@ -218,10 +222,11 @@ class ExtElement:
         self._check(other)
         # blade exponents count 2n-th roots; the field may be a larger one
         step = self.field.conductor // (2 * self.params.n)
+        cross = _crossings(self.params)
         pairs = []
         for s, cs in self._terms.items():
             for t, ct in other._terms.items():
-                r = _blade_exponent(self.params, s, t)
+                r = _blade_exponent(cross, s, t)
                 if r is not None:
                     mask, e = r
                     pairs.append((mask, cs * ct * self.field.zeta(step * e)))
@@ -298,6 +303,7 @@ def frobenius_bruteforce(params: QuantumParams) -> tuple[Cyclotomic, ...]:
     m = 2 * n
     top = (1 << n) - 1
     groups, slot = _grades(n)
+    cross = _crossings(params)
     # bound once per call: a local name in the loop, and a replacement set
     # on the module since the last call is still the one run
     blade_exponent = _blade_exponent
@@ -306,7 +312,7 @@ def frobenius_bruteforce(params: QuantumParams) -> tuple[Cyclotomic, ...]:
     for u in range(1 << n):
         c = top ^ u
         grade = groups[n - u.bit_count()]
-        row = [blade_exponent(params, u, v) for v in grade]
+        row = [blade_exponent(cross, u, v) for v in grade]
         r = row[slot[c]]
         if r is None or r[0] != top:
             raise _pairing_failure(u, c)

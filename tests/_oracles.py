@@ -2,13 +2,14 @@
 
 Everything here is written the slow, obvious way, on purpose: adjacent-swap
 bubble sorts, full word expansion, direct subset sweeps, literal root-of-unity
-products, point shift chains walked on root exponents, an Euler number by
-inclusion-exclusion over the maximal faces, a census sweep over every matrix
-with no twist quotient, an inclusion-exclusion count over the triangle
-hyperplanes, commutators and normalizers from products with every generator,
-the extended Euclidean inverse over Fractions, and a character-by-character
-polynomial parser.  None of it shares code with the package under test, with
-four exceptions: `enumerate_params` only wraps its matrices with the
+products, blade signs from literal crossing counts, point shift chains
+walked on root exponents, an Euler number by inclusion-exclusion over the
+maximal faces, a census sweep over every matrix with no twist quotient, an
+inclusion-exclusion count over the triangle hyperplanes, commutators and
+normalizers from products with every generator, the extended Euclidean
+inverse over Fractions, and a character-by-character polynomial parser.
+None of it shares code with the package under test, with four exceptions:
+`enumerate_params` only wraps its matrices with the
 package's validator; the representative-scan oracle reuses the scanner's
 predicate masks and lift, because it checks which rows the census visits,
 not what the predicates mean; the commutator and normalizer oracles multiply
@@ -253,6 +254,24 @@ def frobenius_scalar_prediction(exps, j):
     field = CycloField(2 * n)
     rowsum = sum(exps[j - 1]) % n
     return field.zeta((n * (n - 1) + 2 * rowsum) % (2 * n))
+
+
+def blade_product_exponent(exps, s, t):
+    """y_S y_T for blade bitmasks s and t (bit i is generator i+1), by counting
+    crossings: moving each b in T left past every a in S with a > b uses
+    y_a y_b = -q_ba y_b y_a = zeta_2n^(n + 2 e_ba) y_b y_a.  Returns
+    (s | t, exponent mod 2n), or None when the blades share a generator."""
+    n = len(exps)
+    left = [i for i in range(n) if s >> i & 1]
+    right = [i for i in range(n) if t >> i & 1]
+    if set(left) & set(right):
+        return None
+    e = 0
+    for a in left:
+        for b in right:
+            if a > b:
+                e += n + 2 * exps[b][a]
+    return s | t, e % (2 * n)
 
 
 def series_coefficient(n, degree):

@@ -47,6 +47,15 @@ BAD_DOCS = (
     "/nonexistent/params.json",
 )
 
+# one integer literal a digit past the interpreter's conversion limit per field
+LONG = "7" * 4301
+LONG_DOCS = (
+    f'{{"n":{LONG},"twist":[0,1,2]}}',
+    f'{{"n":3,"twist":[0,-{LONG},2]}}',
+    f'{{"n":2,"exponents":[[0,1],[{LONG},0]]}}',
+    f'{{"n":3,"entries":[{{"i":1,"j":2,"e":{LONG}}}]}}',
+)
+
 POLYS = (
     "x2*x1",
     "x1^5 + x2^5 + x3^5 + x4^5 + x5^5",
@@ -141,6 +150,8 @@ def corpus() -> list[list[str]]:
     for n in ("7", "2", "1"):
         out.append(["census", "--n", n])
     out.append(["census", "--n", "3", "--workers", "0"])
+    for doc in LONG_DOCS:
+        out.append(["check-cy", doc])
     return out
 
 

@@ -375,6 +375,28 @@ def test_parse_params_error_surfaces(doc, needle):
     assert needle in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "doc,field",
+    [
+        (f'{{"n":{_LONG},"twist":[0,1,2]}}', "n"),
+        (f'{{"n":3,"twist":[0,1,-{_LONG}]}}', "twist[2]"),
+        (f'{{"n":2,"exponents":[[0,{_LONG}],[0,0]]}}', "exponents[0][1]"),
+        (f'{{"n":3,"entries":[{{"i":1,"j":2,"e":1}},{{"i":1,"j":3,"e":{_LONG}}}]}}', "entries[1].e"),
+    ],
+    ids=["n", "twist", "exponents", "entries"],
+)
+def test_overlong_json_integers_name_their_field(doc, field):
+    with pytest.raises(ParamsDocError) as err:
+        parse_params(doc)
+    assert str(err.value) == f"{field}: integer literal of 4301 digits is too long"
+
+
+def test_overlong_json_integer_before_a_syntax_error_is_invalid_json():
+    with pytest.raises(ParamsDocError) as err:
+        parse_params(f'{{"n":3,"twist":[{_LONG},0,0')
+    assert str(err.value).startswith("invalid JSON: ")
+
+
 def test_invalid_matrices_fail_with_entry_names():
     with pytest.raises(ParamsError) as err:
         parse_params('{"n":3,"exponents":[[0,1,0],[1,0,0],[0,0,0]]}')

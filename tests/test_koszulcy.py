@@ -6,7 +6,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import event, example, given
 from hypothesis import strategies as st
 
 from qfermat import koszulcy
@@ -168,6 +168,21 @@ def test_overlapping_blades_multiply_to_zero():
     assert (ExtElement.blade(p, [1, 2]) * ExtElement.blade(p, [2, 3])).is_zero()
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_blade_exponent_matches_the_crossing_count_oracle(n):
+    # every ordered blade pair, overlapping ones included, read from the
+    # crossing table against literal crossings
+    rng = random.Random(0xB1 + n)
+    for _ in range(4):
+        p = random_params(n, rng)
+        cross = koszulcy._crossings(p)
+        for s in range(1 << n):
+            for t in range(1 << n):
+                assert koszulcy._blade_exponent(cross, s, t) == (
+                    _oracles.blade_product_exponent(p.exps, s, t)
+                )
+
+
 # ----------------------------------------------------------------- Frobenius
 
 
@@ -207,6 +222,26 @@ def test_frobenius_routes_agree_modulo_one_global_unit(p):
     comp = compare_frobenius(p)
     assert comp.agree_mod_scalar
     assert comp.ratio == -CycloField(2 * p.n).one()
+
+
+@given(params_st(min_n=2, max_n=7))
+@example(from_twist([1, 0, 0, 0, 0]))
+@example(from_twist([0, 1, 3, 2, 5, 4, 6]))
+@example(validate_params(3, [[0, 1, 0], [2, 0, 0], [0, 0, 0]]))
+def test_cy_verdict_reads_off_the_koszul_dual_frobenius_scalars(p):
+    # A is CY exactly when the Frobenius automorphism of its exterior dual is
+    # scalar, and the two diagonal twists differ by one global root: with the
+    # Serre scalar zeta_n^(k_j) and the brute-force scalar zeta_2n^(f_j),
+    # 2 k_j - f_j mod 2n does not depend on j.
+    report = cy_criterion(p)
+    brute = frobenius_bruteforce(p)
+    event("cy" if report.is_cy else "not cy")
+    assert report.is_cy == all(b == brute[0] for b in brute)
+    offsets = {
+        (2 * serre.root_exp - b.root_exp) % (2 * p.n)
+        for serre, b in zip(report.serre_twist.scalars, brute)
+    }
+    assert len(offsets) == 1
 
 
 def _pairing_pairs(n):
@@ -336,8 +371,8 @@ def _generic_frobenius_json(p):
 
 def test_frobenius_json_matches_the_generic_arithmetic_path():
     rng = random.Random(0xF2)
-    for n in range(2, 8):
-        for _ in range(12 if n < 7 else 4):
+    for n in range(2, 9):
+        for _ in range({7: 4, 8: 2}.get(n, 12)):
             p = random_params(n, rng)
             fast = json.dumps(compare_frobenius(p).to_json_dict(), sort_keys=True)
             assert fast == json.dumps(_generic_frobenius_json(p), sort_keys=True)
