@@ -31,8 +31,10 @@ EXIT_INTERNAL = 4
 
 
 def _load_params(source: str) -> QuantumParams:
+    # A JSON object or array is a document (parse_params refuses an array);
+    # anything else names a file.
     text = source
-    if not source.lstrip().startswith("{"):
+    if not source.lstrip().startswith(("{", "[")):
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     return parse_params(text)

@@ -74,8 +74,9 @@ def _require_simplex(params: QuantumParams) -> None:
 def is_admissible(params: QuantumParams, subset: Sequence[int]) -> bool:
     """Whether a subset of generators supports point modules.
 
-    All 2-subsets qualify; a larger subset needs every internal triangle
-    exponent to vanish.
+    All 2-subsets qualify.  Triangle sums form a 2-cocycle,
+    t(j,k,l) = t(i,k,l) - t(i,j,l) + t(i,j,k), so a larger subset needs only
+    the triangles through its least element i to vanish.
     """
     s = sorted(set(subset))
     if len(s) != len(tuple(subset)):
@@ -84,9 +85,7 @@ def is_admissible(params: QuantumParams, subset: Sequence[int]) -> bool:
         params._check_index(t)
     if len(s) < 2:
         return False
-    return all(
-        triangle_exponent(params, i, j, k) == 0 for i, j, k in combinations(s, 3)
-    )
+    return all(triangle_exponent(params, s[0], j, k) == 0 for j, k in combinations(s[1:], 2))
 
 
 @dataclass(frozen=True)
@@ -105,26 +104,43 @@ class FaceComplex:
         }
 
 
+def _bits(mask: int) -> list[int]:
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
 def face_complex(params: QuantumParams) -> FaceComplex:
     """Maximal admissible faces, sorted by (size, lexicographic order).
 
-    Admissible subsets are closed under taking subsets of size >= 2, so a
-    greedy sweep from large to small suffices to find the maximal ones.
+    By the cocycle rule of `is_admissible`, the faces through vertex i are i
+    joined to the cliques of its star graph, where j ~ k when t(i,j,k) = 0.
+    Bron-Kerbosch with pivoting lists the maximal cliques (Bron & Kerbosch,
+    CACM 16, 1973; Tomita, Tanaka & Takahashi, TCS 363, 2006) on an explicit
+    stack; starting with the vertices below i excluded lists each face once,
+    at its least vertex.
     """
     _require_simplex(params)
     n = params.n
-    everything = tuple(range(1, n + 1))
-    if is_admissible(params, everything):
-        return FaceComplex(n, (everything,), True)
+    star = [[0] * n for _ in range(n)]  # star[i][j]: bitmask of the k with t(i,j,k) = 0
+    for a, b, c in combinations(range(n), 3):
+        if triangle_exponent(params, a + 1, b + 1, c + 1) == 0:
+            for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
+                star[i][j] |= 1 << k
+                star[i][k] |= 1 << j
     maximal: list[tuple[int, ...]] = []
-    for size in range(n - 1, 1, -1):
-        for cand in combinations(everything, size):
-            if any(set(cand) <= set(m) for m in maximal):
+    for i, nbr in enumerate(star):
+        stack = [(0, (1 << n) - (2 << i), (1 << i) - 1)]  # (clique, candidates, excluded)
+        while stack:
+            r, p, x = stack.pop()
+            if not p | x:
+                maximal.append((i + 1, *(j + 1 for j in _bits(r))))
                 continue
-            if is_admissible(params, cand):
-                maximal.append(cand)
+            u = max(_bits(p | x), key=lambda w: (nbr[w] & p).bit_count())
+            for v in _bits(p & ~nbr[u]):
+                stack.append((r | 1 << v, p & nbr[v], x & nbr[v]))
+                p ^= 1 << v
+                x |= 1 << v
     maximal.sort(key=lambda f: (len(f), f))
-    return FaceComplex(n, tuple(maximal), False)
+    return FaceComplex(n, tuple(maximal), len(maximal[-1]) == n)
 
 
 def shift_automorphism(
@@ -274,17 +290,21 @@ def euler_number(report: Hilb1Report) -> int:
     Split the scheme by support: the points whose nonzero coordinates are
     exactly an admissible T, |T| >= 2, form an n^(|T|-1)-fold cover (in
     y_j = x_j^n) of a hyperplane in the torus (C*)^(|T|-1), whose Euler
-    number is (-1)^|T|.  The admissible T are the subsets of size >= 2 of
-    the maximal faces.  At even n the signed face equations give the same
-    number, since x_j -> zeta_2n x_j carries one locus to the other.
+    number is (-1)^|T|; over the T inside a face of k vertices that sums to
+    chi(k) = ((1-n)^k - 1)/n + k.  Each intersection of maximal faces weighs
+    1 minus the weights of its strict supersets, which counts every T once.
+    At even n the signed face equations give the same number, since
+    x_j -> zeta_2n x_j carries one locus to the other.
     """
     if report.algebra != ALGEBRA_A:
         raise ValueError("the Euler number is defined for the quotient algebra A only")
     n = report.params.n
-    supports = {
-        t
-        for face in report.complex.maximal_faces
-        for size in range(2, len(face) + 1)
-        for t in combinations(face, size)
-    }
-    return sum((-1) ** len(t) * n ** (len(t) - 1) for t in supports)
+    faces = [frozenset(f) for f in report.complex.maximal_faces]
+    cuts, fresh = set(faces), set(faces)
+    while fresh:
+        fresh = {c for c in (z & f for z in fresh for f in faces) if len(c) >= 2} - cuts
+        cuts |= fresh
+    weight: dict[frozenset, int] = {}
+    for z in sorted(cuts, key=len, reverse=True):
+        weight[z] = 1 - sum(w for y, w in weight.items() if z < y)
+    return sum(w * (((1 - n) ** len(z) - 1) // n + len(z)) for z, w in weight.items())

@@ -3,8 +3,8 @@
 Everything here is written the slow, obvious way, on purpose: adjacent-swap
 bubble sorts, full word expansion, direct subset sweeps, literal root-of-unity
 products, blade signs from literal crossing counts, point shift chains
-walked on root exponents, an Euler number by inclusion-exclusion over the
-maximal faces, a census sweep over every matrix with no twist quotient, an
+walked on root exponents, an Euler number summed over every admissible
+support, a census sweep over every matrix with no twist quotient, an
 inclusion-exclusion count over the triangle hyperplanes, commutators and
 normalizers from products with every generator, the extended Euclidean
 inverse over Fractions, and a character-by-character polynomial parser.
@@ -160,26 +160,18 @@ def maximal_admissible_subsets(exps):
     return sorted(tuple(sorted(s)) for s in maximal)
 
 
-def euler_number_inclusion_exclusion(exps):
-    """Euler number of A's point scheme as the union, over the maximal
-    admissible subsets, of their Fermat hypersurfaces.  Any intersection of
-    those is a coordinate subspace with k coordinates, cut to a degree-n
-    Fermat hypersurface in P^(k-1) with chi = ((1-n)^k - 1)/n + k, or empty
-    when k < 2.  Inclusion-exclusion over the subsets of maximal faces; a
-    branch stops once its intersection is empty, since every larger one is."""
+def euler_number_support_sum(exps):
+    """Euler number of A's point scheme, one support at a time: the points
+    whose nonzero coordinates are exactly an admissible T contribute
+    (-1)^|T| n^(|T|-1).  Sums over every subset of {1..n} that
+    `admissible_bruteforce` accepts."""
     n = len(exps)
-    faces = [frozenset(f) for f in maximal_admissible_subsets(exps)]
-
-    def walk(start, common, sign):
-        total = 0
-        for i in range(start, len(faces)):
-            cut = common & faces[i]
-            k = len(cut)
-            if k >= 2:
-                total += sign * (((1 - n) ** k - 1) // n + k) + walk(i + 1, cut, -sign)
-        return total
-
-    return walk(0, frozenset(range(1, n + 1)), 1)
+    return sum(
+        (-1) ** size * n ** (size - 1)
+        for size in range(2, n + 1)
+        for subset in combinations(range(1, n + 1), size)
+        if admissible_bruteforce(exps, subset)
+    )
 
 
 def point_chain_holds(exps, xi, steps, fermat=False):

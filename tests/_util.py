@@ -38,6 +38,21 @@ def params_st(draw, min_n=2, max_n=6):
 
 
 @st.composite
+def perturbed_twist_st(draw, min_n=3, max_n=8, max_changes=4):
+    """A twist matrix (every triangle zero, one full face) with a few entries
+    moved off it, so that large faces and many faces through one edge occur."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    d = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    rows = [[(d[i] - d[j]) % n for j in range(n)] for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for _ in range(draw(st.integers(0, max_changes))):
+        i, j = draw(st.sampled_from(pairs))
+        rows[i][j] = (rows[i][j] + draw(st.integers(1, n - 1))) % n
+        rows[j][i] = (-rows[i][j]) % n
+    return validate_params(n, rows)
+
+
+@st.composite
 def word_st(draw, max_n=5, max_len=8):
     n = draw(st.integers(min_value=2, max_value=max_n))
     word = draw(st.lists(st.integers(1, n), min_size=0, max_size=max_len))

@@ -24,6 +24,8 @@ ENTRIES5 = '{"n":5,"entries":[{"i":1,"j":2,"e":1}]}'
 ENTRIES3 = '{"n":3,"entries":[{"i":1,"j":2,"e":1},{"i":2,"j":3,"e":1},{"i":1,"j":3,"e":2}]}'
 EXPS3 = '{"n":3,"exponents":[[0,1,2],[2,0,1],[1,2,0]]}'
 TWIST4 = '{"n":4,"twist":[0,1,1,3]}'
+# three maximal faces at n = 40; the subset sweep would visit 2^40 subsets
+ONE_RELATION40 = '{"n":40,"entries":[{"i":1,"j":2,"e":1}]}'
 GOOD_DOCS = (TWIST5, SKEW5, GENERIC4, ENTRIES5, ENTRIES3, EXPS3, TWIST4)
 
 BAD_DOCS = (
@@ -152,6 +154,8 @@ def corpus() -> list[list[str]]:
     out.append(["census", "--n", "3", "--workers", "0"])
     for doc in LONG_DOCS:
         out.append(["check-cy", doc])
+    for algebra in ("A", "B"):
+        out.append(["hilb1", "--algebra", algebra, ONE_RELATION40])
     return out
 
 

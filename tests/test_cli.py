@@ -85,6 +85,16 @@ def test_malformed_document_is_an_input_error(capsys):
     assert "sum to 0" in err
 
 
+def test_long_json_array_is_a_document_not_a_file_name(capsys):
+    # Not a file-name error that echoes the 5000-digit argument; the corpus
+    # holds the short `[1, 2, 3]` case.
+    code = main(["check-cy", " [" + "7" * 5000 + "]"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: top level: expected a JSON object\n"
+
+
 def test_census_capacity_exit(capsys):
     code = main(["census", "--n", "7"])
     capsys.readouterr()

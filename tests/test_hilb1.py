@@ -26,9 +26,27 @@ from qfermat.hilb1 import (
 from qfermat.qalgebra import commutative_params, from_twist, validate_params
 
 import _oracles
-from _util import params_st
+from _util import params_st, perturbed_twist_st
 
 INTERMEDIATE_4 = validate_params(4, [[0, 0, 0, 1], [0, 0, 0, 2], [0, 0, 0, 3], [3, 2, 1, 0]])
+
+# Random matrices up to n = 8, half of them twists with a few entries redrawn.
+FACE_PARAMS = st.one_of(params_st(min_n=3, max_n=8), perturbed_twist_st(min_n=3, max_n=8))
+
+
+def _with_relations(n, pairs):
+    """e_ab = 1 for each listed pair a < b, every other entry above the diagonal 0."""
+    rows = [[0] * n for _ in range(n)]
+    for a, b in pairs:
+        rows[a - 1][b - 1], rows[b - 1][a - 1] = 1, n - 1
+    return validate_params(n, rows)
+
+
+def _triples(n):
+    """Vertices 3..n in consecutive triples, e_ab = 1 inside each triple: every
+    triangle inside a triple or with an edge in one is nonzero, so the faces
+    are {1, 2} plus one vertex of each triple, and the 2-faces inside triples."""
+    return _with_relations(n, [p for t in range(3, n, 3) for p in combinations(range(t, t + 3), 2)])
 
 
 # ------------------------------------------------------------------ triangles
@@ -83,7 +101,7 @@ def test_genericity_matches_triple_sweep(p):
     assert hilb1(p, "A").discrete == _oracles.generic_bruteforce(p.exps)
 
 
-@given(params_st(min_n=3, max_n=6), st.data())
+@given(FACE_PARAMS, st.data())
 def test_admissibility_matches_triple_sweep(p, data):
     subset = data.draw(
         st.lists(st.integers(1, p.n), min_size=1, max_size=p.n, unique=True)
@@ -113,7 +131,7 @@ def test_intermediate_complex_exists_outside_the_cy_locus():
     assert (1, 2, 3) in fc.maximal_faces
 
 
-@given(params_st(min_n=3, max_n=6))
+@given(FACE_PARAMS)
 def test_face_complex_matches_subset_sweep(p):
     fc = face_complex(p)
     assert sorted(fc.maximal_faces) == _oracles.maximal_admissible_subsets(p.exps)
@@ -364,6 +382,37 @@ def test_euler_numbers_of_the_cy_classes(n, table):
     assert Counter(euler_number(hilb1(p, "A")) for p in _cy_classes(n)) == table
 
 
-@given(params_st(min_n=3, max_n=6))
-def test_euler_number_matches_inclusion_exclusion_over_maximal_faces(p):
-    assert euler_number(hilb1(p, "A")) == _oracles.euler_number_inclusion_exclusion(p.exps)
+@given(FACE_PARAMS)
+def test_euler_number_matches_the_support_sum(p):
+    assert euler_number(hilb1(p, "A")) == _oracles.euler_number_support_sum(p.exps)
+
+
+def _chi(n, k):
+    return ((1 - n) ** k - 1) // n + k
+
+
+def test_euler_number_of_many_faces_through_one_edge():
+    # 27 faces {1, 2, a, b, c} share the edge {1, 2}, plus 9 edges inside triples.
+    p = _triples(11)
+    report = hilb1(p, "A")
+    assert len(report.complex.maximal_faces) == 36
+    assert sum(len(f) == 5 for f in report.complex.maximal_faces) == 27
+    assert euler_number(report) == _oracles.euler_number_support_sum(p.exps) == -297781
+
+
+def test_euler_number_of_four_triples_is_pinned():
+    report = hilb1(_triples(14), "A")
+    assert len(report.complex.maximal_faces) == 93
+    assert euler_number(report) == 34111154
+
+
+def test_one_relation_at_forty_generators():
+    # Only the triangles through {1, 2} are nonzero: three faces, where the
+    # subset sweep would visit 2^40 subsets.
+    report = hilb1(_with_relations(40, [(1, 2)]), "A")
+    rest = tuple(range(3, 41))
+    assert report.complex.maximal_faces == ((1, 2), (1, *rest), (2, *rest))
+    assert not report.complex.is_full
+    chi = euler_number(report)
+    assert chi == _chi(40, 2) + 2 * _chi(40, 39) - _chi(40, 38)
+    assert chi == -5701933749681810391438055429565535727234087379690080028068000
