@@ -1,12 +1,12 @@
 """Vectorized scanner behind the census (the only module using numpy).
 
-``census.run_census`` and ``census.find_witness`` import this module when
-they start, before any worker process is forked, so the workers inherit
-numpy instead of importing it again, and code that never scans never loads
-numpy.
+``census.run_census`` imports this module when it starts, before any worker
+process is forked, so the workers inherit numpy instead of importing it
+again; ``census.find_witness`` imports it only to search for a generic
+matrix, and code that never scans never loads numpy.
 
 Rows are the full counter digits of zero-first-row representatives, taken
-from one of four streams, each in increasing canonical index:
+from one of three streams, each in increasing canonical index:
 
 * ``"cy"``: the free digits e_bc, 2 <= b < c <= n-1 (1-based), in counter
   order, with each e_jn solved from column j:
@@ -16,40 +16,32 @@ from one of four streams, each in increasing canonical index:
   n-1 counter shifted by one; on a representative t(1,b,c) = e_bc, so it
   holds every generic CY representative;
 * ``"nonzero"``: lower digits all nonzero, a base n-1 counter shifted by one;
-  it holds every generic representative;
-* ``"all"``: every representative.
+  it holds every generic representative.
+
+CY is membership in a CY stream, so no row is tested for it.  Since
+t(1,b,c) = e_bc, the only full representative is the zero matrix, so no row
+is tested for that either: genericity is the one predicate with a mask.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 from typing import Callable, Optional
 
 import numpy as np
 
-from .census import _COUNTEREXAMPLE_CAP, _lower_width, _pairs, _triples
-
-
-@lru_cache(maxsize=None)
-def _colsum_matrix(n: int) -> np.ndarray:
-    # Column sums from upper-triangle digits: s_j = sum_(i<j) e_ij - sum_(k>j) e_jk.
-    t = n * (n - 1) // 2
-    m = np.zeros((t, n), dtype=np.int64)
-    for idx, (i, j) in enumerate(_pairs(n)):
-        m[idx, j] += 1
-        m[idx, i] -= 1
-    return m
+from .census import _COUNTEREXAMPLE_CAP, _lower_width, _pairs
 
 
 @lru_cache(maxsize=None)
 def _triangle_matrix(n: int) -> np.ndarray:
     # Triangle exponents from digits: t(a,b,c) = e_ab + e_bc - e_ac.
     pairs = {p: k for k, p in enumerate(_pairs(n))}
-    trs = _triples(n)
     t = n * (n - 1) // 2
-    m = np.zeros((t, len(trs)), dtype=np.int64)
-    for col, (a, b, c) in enumerate(trs):
+    m = np.zeros((t, comb(n, 3)), dtype=np.int64)
+    for col, (a, b, c) in enumerate(combinations(range(n), 3)):
         m[pairs[(a, b)], col] += 1
         m[pairs[(b, c)], col] += 1
         m[pairs[(a, c)], col] -= 1
@@ -81,10 +73,10 @@ def _counter(start: int, stop: int, base: int, width: int) -> np.ndarray:
 
 def _stream_counter(n: int, stream: str) -> tuple[bool, bool, int, int]:
     # (solved, nonzero, base, width) of the counter behind a stream: solved
-    # streams count the CY free digits, the others the lower digits, and the
+    # streams count the CY free digits, "nonzero" the lower digits, and the
     # nonzero streams count in base n-1 and shift every digit up by one.
     solved = stream in ("cy", "cy-nonzero")
-    nonzero = stream in ("cy-nonzero", "nonzero")
+    nonzero = stream != "cy"
     width = comb(n - 2, 2) if solved else _lower_width(n)
     return solved, nonzero, n - 1 if nonzero else n, width
 
@@ -108,15 +100,9 @@ def stream_rows(n: int, stream: str, start: int, stop: int) -> np.ndarray:
     return digits
 
 
-def predicate_masks(n: int, digits: np.ndarray) -> dict[str, np.ndarray]:
-    """The cy, generic and full predicates, one boolean per digit row."""
-    sums = (digits @ _colsum_matrix(n)) % n
-    tris = (digits @ _triangle_matrix(n)) % n
-    return {
-        "cy": (sums == sums[:, :1]).all(axis=1),
-        "generic": (tris != 0).all(axis=1),
-        "full": (tris == 0).all(axis=1),
-    }
+def generic_mask(n: int, digits: np.ndarray) -> np.ndarray:
+    """Whether every triangle of a digit row is nonzero, one boolean per row."""
+    return ((digits @ _triangle_matrix(n)) % n != 0).all(axis=1)
 
 
 def generic_classes(n: int) -> int:
@@ -169,18 +155,20 @@ def lift(
 
 
 def scan_block(args) -> dict:
-    """Class tallies and lifted indices for CY stream positions start .. stop - 1."""
+    """Class tallies and lifted indices for CY stream positions start .. stop - 1.
+
+    Every row is CY, so the generic rows are the generic CY classes, and at
+    n = 4 a row breaks the dichotomy when it is neither generic nor the zero
+    matrix, the one full representative."""
     n, start, stop, witness_limit = args
     digits = stream_rows(n, "cy", start, stop)
-    masks = predicate_masks(n, digits)
-    cy, generic = masks["cy"], masks["generic"]
-    both = cy & generic
-    dichotomy_bad = cy & ~masks["full"] & ~generic if n == 4 else np.zeros(0, dtype=bool)
     lower = digits[:, n - 1 :]
-    both_lower = lower[both]
+    generic = generic_mask(n, digits)
+    dichotomy_bad = lower.any(axis=1) & ~generic if n == 4 else np.zeros(0, dtype=bool)
+    both_lower = lower[generic]
     return {
         "scanned": stop - start,
-        "both": int(both.sum()),
+        "both": int(generic.sum()),
         "dichotomy_bad": int(dichotomy_bad.sum()),
         "implication_bad_indices": lift(
             n, both_lower, _COUNTEREXAMPLE_CAP, lambda r: sum(r) % n != 0
@@ -192,10 +180,8 @@ def scan_block(args) -> dict:
     }
 
 
-def first_match(n: int, stream: str, start: int, stop: int, wanted) -> Optional[tuple[int, ...]]:
-    """The digits of the first row at stream positions start .. stop - 1 that
-    meets every predicate."""
+def first_generic(n: int, stream: str, start: int, stop: int) -> Optional[tuple[int, ...]]:
+    """The digits of the first generic row at stream positions start .. stop - 1."""
     digits = stream_rows(n, stream, start, stop)
-    masks = predicate_masks(n, digits)
-    hits = np.flatnonzero(np.logical_and.reduce([masks[p] for p in wanted]))
+    hits = np.flatnonzero(generic_mask(n, digits))
     return tuple(int(d) for d in digits[hits[0]]) if hits.size else None

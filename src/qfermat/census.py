@@ -12,7 +12,8 @@ The first row holds the most significant counter digits, so these
 representatives are exactly the index prefix 0 .. n^((n-1)(n-2)/2) - 1.
 
 Work is done only on the representatives that can answer; ``_scan`` lists
-them as streams in canonical order and vectorizes the predicates with numpy:
+them as streams in canonical order and vectorizes the generic test with
+numpy:
 
 * a representative is CY when every column sums to 0, and solving each e_jn
   from its column leaves C(n-2,2) free digits, so count_cy is
@@ -21,12 +22,14 @@ them as streams in canonical order and vectorizes the predicates with numpy:
   the CY stream only, in blocks that partition it, so parallel workers own
   disjoint sub-ranges;
 * count_generic comes from peeling the last vertex (``_scan.generic_classes``);
-* a witness search scans the narrowest stream holding every possible match
-  and stops at the first hit.
+* on a representative t(1,b,c) = e_bc, so the zero matrix, index 0, is the
+  only full representative, and it is CY.  A witness search without generic
+  returns it unscanned; one with generic scans the CY or the nonzero stream
+  for the first generic row and stops there.
 
 Only the scanning entry points import ``_scan``, and they do so before any
 worker is started, so importing this module, the package or its CLI does not
-load numpy.
+load numpy, and neither does a witness search without generic.
 
 Results are lifted back to all matrices exactly:
 
@@ -146,16 +149,6 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     # Strict upper-triangle positions (0-based), row-major; digit t of the
     # counter is e_(i+1)(j+1) for pair (i, j).
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
-
-
-@lru_cache(maxsize=None)
-def _triples(n: int) -> tuple[tuple[int, int, int], ...]:
-    return tuple(
-        (a, b, c)
-        for a in range(n)
-        for b in range(a + 1, n)
-        for c in range(b + 1, n)
-    )
 
 
 def _digits_to_exps(n: int, digits: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -313,11 +306,12 @@ def find_witness(n: int, predicates: Sequence[str]) -> Optional[QuantumParams]:
     Known predicates: cy, generic, full (alias twist-realizable; the cocycle
     condition and the full face complex coincide).  Returns None when the
     space contains no match.  The predicates are constant on twist classes
-    and each class's first member is its zero-first-row representative, so
-    only representatives are scanned: the CY ones when cy is wanted (only
-    those with nonzero free digits when generic is wanted too), else those
-    with nonzero lower digits when generic is wanted, else all of them.
-    Chunks grow up to 2^19 rows, and the search stops at the first hit.
+    and each class's first member is its zero-first-row representative, on
+    which t(1,b,c) = e_bc.  So without generic the answer is the zero matrix
+    (index 0, CY and full), generic with full has none, and otherwise only
+    representatives are scanned: the CY ones with nonzero free digits when
+    cy is wanted, else those with nonzero lower digits.  Chunks grow up to
+    2^19 rows, and the search stops at the first generic row.
     """
     _check_n(n)
     wanted = set()
@@ -330,19 +324,18 @@ def find_witness(n: int, predicates: Sequence[str]) -> Optional[QuantumParams]:
         wanted.add(key)
     if not wanted:
         raise ValueError("at least one predicate required")
-    if {"generic", "full"} <= wanted:
+    if "generic" not in wanted:
+        return index_to_params(n, 0)
+    if "full" in wanted:
         return None  # triangle (1,2,3) cannot be both zero and nonzero
-    if "cy" in wanted:
-        stream = "cy-nonzero" if "generic" in wanted else "cy"
-    else:
-        stream = "nonzero" if "generic" in wanted else "all"
     from . import _scan
 
+    stream = "cy-nonzero" if "cy" in wanted else "nonzero"
     length = _scan.stream_length(n, stream)
     start, size = 0, 1 << 6
     while start < length:
         stop = min(start + size, length)
-        hit = _scan.first_match(n, stream, start, stop, wanted)
+        hit = _scan.first_generic(n, stream, start, stop)
         if hit is not None:
             return QuantumParams(n, _digits_to_exps(n, hit))
         start, size = stop, min(2 * size, 1 << 19)

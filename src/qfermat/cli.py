@@ -6,7 +6,7 @@ error; 4 = internal error (a failed self-check such as the Frobenius pairing
 verification or the census partition count, or an inadmissible face that
 hilb1 built itself).  All diagnostics go to standard error; reports go to
 standard output.  Each subcommand's handler receives the argparse namespace.
-JSON output is byte-deterministic for a fixed input (and worker count 1).
+JSON output is byte-deterministic for a fixed input, whatever the worker count.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ inverse over Fractions, and a character-by-character polynomial parser.
 None of it shares code with the package under test, with four exceptions:
 `enumerate_params` only wraps its matrices with the
 package's validator; the representative-scan oracle reuses the scanner's
-predicate masks and lift, because it checks which rows the census visits,
-not what the predicates mean; the commutator and normalizer oracles multiply
+lift, because it checks which representatives the census counts, not how a
+class lists its members (its cy, generic and full masks are its own, from
+column sums and triangles); the commutator and normalizer oracles multiply
 with the package's `multiply`, because they check that the column-phase rule
 behind `is_central` and `normalizing_automorphism` decides what the products
 would; and `reference_parse_poly` evaluates coefficients with the package's
@@ -414,38 +415,50 @@ def raw_census_json(n, witness_limit):
 
 
 @lru_cache(maxsize=None)
-def _raw_sweep(n, keep):
-    """Tallies over every matrix, and the first `keep` indices of each
-    listed kind."""
+def _digit_forms(n):
+    """Integer forms on counter digits: column sums
+    s_j = sum_(i<j) e_ij - sum_(k>j) e_jk, and triangles
+    t(a,b,c) = e_ab + e_bc - e_ac, one column each."""
     pairs = list(combinations(range(n), 2))
     pos = {p: k for k, p in enumerate(pairs)}
-    t = len(pairs)
-    colsum = np.zeros((t, n), dtype=np.int64)
+    colsum = np.zeros((len(pairs), n), dtype=np.int64)
     for k, (i, j) in enumerate(pairs):
         colsum[k, j] += 1
         colsum[k, i] -= 1
-    triangles = np.zeros((t, comb(n, 3)), dtype=np.int64)
+    triangles = np.zeros((len(pairs), comb(n, 3)), dtype=np.int64)
     for col, (a, b, c) in enumerate(combinations(range(n), 3)):
         triangles[pos[(a, b)], col] += 1
         triangles[pos[(b, c)], col] += 1
         triangles[pos[(a, c)], col] -= 1
+    return colsum, triangles
 
-    total = n**t
+
+def digit_masks(n, digits):
+    """cy (equal column sums), generic (no zero triangle), full (every
+    triangle zero) and zero (every column sum zero), one boolean per row of
+    counter digits."""
+    colsum, triangles = _digit_forms(n)
+    sums = (digits @ colsum) % n
+    tris = (digits @ triangles) % n
+    return {
+        "cy": (sums == sums[:, :1]).all(axis=1),
+        "generic": (tris != 0).all(axis=1),
+        "full": (tris == 0).all(axis=1),
+        "zero": (sums == 0).all(axis=1),
+    }
+
+
+@lru_cache(maxsize=None)
+def _raw_sweep(n, keep):
+    """Tallies over every matrix, and the first `keep` indices of each
+    listed kind."""
+    total = n ** (n * (n - 1) // 2)
     tally = {}
     first = {"both": [], "implication_bad": [], "dichotomy_bad": []}
     block = 1 << 19
     for start in range(0, total, block):
-        x = np.arange(start, min(start + block, total), dtype=np.int64)
-        digits = np.empty((len(x), t), dtype=np.int64)
-        for k in range(t - 1, -1, -1):
-            digits[:, k] = x % n
-            x //= n
-        sums = (digits @ colsum) % n
-        tris = (digits @ triangles) % n
-        cy = (sums == sums[:, :1]).all(axis=1)
-        generic = (tris != 0).all(axis=1)
-        full = (tris == 0).all(axis=1)
-        zero = (sums == 0).all(axis=1)
+        m = digit_masks(n, representative_digits(n, start, min(start + block, total)))
+        cy, generic, full, zero = m["cy"], m["generic"], m["full"], m["zero"]
         masks = {
             "cy": cy,
             "generic": generic,
@@ -477,10 +490,10 @@ def representative_scan(n, witness_limit):
     """Class tallies and lifted indices from a scan of every twist-class
     representative, the census route before the CY stream and the vertex
     peel.  n = 5 takes milliseconds, n = 6 about a minute."""
-    from qfermat._scan import lift, predicate_masks
+    from qfermat._scan import lift
 
     digits = representative_digits(n, 0, n ** ((n - 1) * (n - 2) // 2))
-    masks = predicate_masks(n, digits)
+    masks = digit_masks(n, digits)
     cy, generic = masks["cy"], masks["generic"]
     both = cy & generic
     dichotomy_bad = cy & ~masks["full"] & ~generic
@@ -499,11 +512,9 @@ def representative_scan(n, witness_limit):
 def representative_first_match(n, wanted):
     """Index of the first representative meeting every predicate in
     `wanted`, scanning every representative in blocks; None if none does."""
-    from qfermat._scan import predicate_masks
-
     reps = n ** ((n - 1) * (n - 2) // 2)
     for start in range(0, reps, 1 << 19):
-        masks = predicate_masks(n, representative_digits(n, start, min(start + (1 << 19), reps)))
+        masks = digit_masks(n, representative_digits(n, start, min(start + (1 << 19), reps)))
         hits = np.flatnonzero(np.logical_and.reduce([masks[p] for p in wanted]))
         if hits.size:
             return start + int(hits[0])

@@ -194,16 +194,15 @@ def test_cy_stream_lists_the_cy_representatives_in_order(n, length):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_witness_streams_list_their_representatives_in_order(n):
     """The nonzero stream is exactly the representatives with every lower
-    digit nonzero, the all stream every representative, and the cy-nonzero
-    stream the CY representatives whose free digits e_bc (1 < b < c < n) are
-    nonzero, in index order; a chunk of a stream is the same slice of the
-    whole stream."""
+    digit nonzero, and the cy-nonzero stream the CY representatives whose
+    free digits e_bc (1 < b < c < n) are nonzero, in index order; a chunk of
+    a stream is the same slice of the whole stream."""
     reps = _oracles.representative_digits(n, 0, n ** comb(n - 1, 2))
     nonzero = reps[(reps[:, n - 1 :] != 0).all(axis=1)]
     cy = _oracles.representative_scan(n, 0)["cy_rows"]
     free = [k for k, (b, c) in enumerate(combinations(range(n), 2)) if 0 < b and c < n - 1]
     cy_nonzero = cy[(cy[:, free] != 0).all(axis=1)]
-    streams = (("nonzero", nonzero), ("all", reps), ("cy", None), ("cy-nonzero", cy_nonzero))
+    streams = (("nonzero", nonzero), ("cy", None), ("cy-nonzero", cy_nonzero))
     for stream, expected in streams:
         length = _scan.stream_length(n, stream)
         rows = _scan.stream_rows(n, stream, 0, length)
@@ -435,6 +434,24 @@ def test_find_witness_matches_the_representative_scan(n, wanted):
     found = find_witness(n, wanted)
     expected = _oracles.representative_first_match(n, wanted)
     assert (None if found is None else _oracles.index_of(found.exps)) == expected
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_the_zero_matrix_is_the_only_full_representative(n):
+    """On a representative t(1,b,c) = e_bc, so every triangle vanishes
+    exactly when every lower digit does."""
+    reps = _oracles.representative_digits(n, 0, n ** comb(n - 1, 2))
+    full = _oracles.digit_masks(n, reps)["full"]
+    assert np.array_equal(full, ~reps[:, n - 1 :].any(axis=1))
+    assert np.flatnonzero(full).tolist() == [0]
+
+
+@pytest.mark.parametrize("wanted", [s for s in _PREDICATE_SETS if "generic" not in s], ids="+".join)
+def test_witness_queries_without_generic_return_the_zero_matrix(wanted):
+    found = find_witness(6, wanted)
+    assert _oracles.index_of(found.exps) == 0
+    assert cy_criterion(found).is_cy
+    assert is_twist_realizable(found) is not None
 
 
 def test_find_witness_rejects_unknown_predicates():

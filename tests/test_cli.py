@@ -393,11 +393,13 @@ def test_check_cy_json_is_byte_identical_across_runs(capsys):
 
 
 def test_only_scans_load_numpy():
-    """Importing the package and running every non-census command leaves
-    numpy unloaded; the census loads it."""
+    """Importing the package, running every non-census command and every
+    witness search without generic leaves numpy unloaded; the census loads
+    it."""
     code = f"""
 import contextlib, io, sys
 import qfermat, qfermat.cli
+from qfermat.census import find_witness
 assert "numpy" not in sys.modules, "import"
 commands = [
     ["check-cy", {TWIST5!r}],
@@ -412,6 +414,9 @@ for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
         qfermat.cli.main(argv)
     assert "numpy" not in sys.modules, argv[0]
+for wanted in (["cy"], ["full"], ["cy", "full"]):
+    assert find_witness(6, wanted) is not None
+    assert "numpy" not in sys.modules, wanted
 with contextlib.redirect_stdout(io.StringIO()):
     qfermat.cli.main(["census", "--n", "3"])
 assert "numpy" in sys.modules, "census"
