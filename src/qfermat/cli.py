@@ -5,7 +5,10 @@ the predicate is false (e.g. not Calabi-Yau); 2 = input error; 3 = capacity
 error; 4 = internal error (a failed self-check such as the Frobenius pairing
 verification or the census partition count, or an inadmissible face that
 hilb1 built itself).  All diagnostics go to standard error; reports go to
-standard output.  Each subcommand's handler receives the argparse namespace.
+standard output.  Each subcommand is one row of _COMMANDS: its handler takes
+the argparse namespace and returns (payload, text lines, verdict), and main
+alone prints the report and maps the verdict to the exit code (None: the
+command only reports and decides nothing).
 JSON output is byte-deterministic for a fixed input, whatever the worker count.
 """
 
@@ -52,13 +55,11 @@ def _fmt_bool(b: bool) -> str:
     return "true" if b else "false"
 
 
-# -- per-command handlers -------------------------------------------------------
+# -- per-command handlers: each returns (payload, text lines, verdict) -----------
 
 
-def _cmd_check_cy(args) -> int:
-    params = _load_params(args.params)
-    report = cy_criterion(params)
-    payload = report.to_json_dict()
+def _cmd_check_cy(args):
+    report = cy_criterion(_load_params(args.params))
     lines = [
         f"is_cy: {_fmt_bool(report.is_cy)}",
         f"column_sums: {list(report.column_sums)}",
@@ -68,14 +69,11 @@ def _cmd_check_cy(args) -> int:
     ]
     if report.twist_vector is not None:
         lines.append(f"twist_vector: {list(report.twist_vector)}")
-    _emit(payload, args.output == "json", lines)
-    return EXIT_TRUE if report.is_cy else EXIT_FALSE
+    return report.to_json_dict(), lines, report.is_cy
 
 
-def _cmd_hilb1(args) -> int:
-    params = _load_params(args.params)
-    report = hilb1(params, args.algebra)
-    payload = report.to_json_dict()
+def _cmd_hilb1(args):
+    report = hilb1(_load_params(args.params), args.algebra)
     lines = [
         f"algebra: {report.algebra}",
         f"is_full: {_fmt_bool(report.complex.is_full)}",
@@ -96,13 +94,11 @@ def _cmd_hilb1(args) -> int:
             for pt in comp.points:
                 coords = ", ".join(c.basis_string() for c in pt)
                 lines.append(f"  ({coords})")
-    _emit(payload, args.output == "json", lines)
-    return EXIT_TRUE
+    return report.to_json_dict(), lines, None
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args):
     report = run_census(args.n, workers=args.workers, witness_limit=args.witness_limit)
-    payload = report.to_json_dict()
     lines = [
         f"n: {report.n}",
         f"total: {report.total}",
@@ -118,20 +114,19 @@ def _cmd_census(args) -> int:
         lines.append(f"alternative_readings: {report.alternative_readings}")
     for w in report.witnesses:
         lines.append(f"witness: {[list(r) for r in w.exps]}")
-    _emit(payload, args.output == "json", lines)
+    # Written before the report is printed, so an unwritable path leaves
+    # stdout empty.
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("predicate,count\n")
             for name, count in report.csv_counts():
                 fh.write(f"{name},{count}\n")
-    # Exit reflects the claims made for this n: the zero-column-sum
-    # implication lives at n=5, the dichotomy at n=4; other n are vacuous.
-    ok = True
-    if report.n == 5:
-        ok = report.all_generic_cy_have_zero_column_sums
-    if report.n4_dichotomy_holds is not None:
-        ok = ok and report.n4_dichotomy_holds
-    return EXIT_TRUE if ok else EXIT_FALSE
+    # The verdict is the claims made for this n: the zero-column-sum
+    # implication at n=5, the dichotomy at n=4; other n are vacuous.
+    ok = (report.n != 5 or report.all_generic_cy_have_zero_column_sums) and (
+        report.n4_dichotomy_holds is not False
+    )
+    return report.to_json_dict(), lines, ok
 
 
 def _parse_poly_flag(args, params: QuantumParams):
@@ -140,66 +135,111 @@ def _parse_poly_flag(args, params: QuantumParams):
     return lower(ast, params, args.algebra)
 
 
-def _cmd_central(args) -> int:
-    params = _load_params(args.params)
-    poly = _parse_poly_flag(args, params)
+def _cmd_central(args):
+    poly = _parse_poly_flag(args, _load_params(args.params))
     central = is_central(poly)
     canonical = print_poly(poly)
-    payload = {"central": central, "poly": canonical}
-    _emit(payload, args.output == "json", [f"central: {_fmt_bool(central)}", f"poly: {canonical}"])
-    return EXIT_TRUE if central else EXIT_FALSE
+    lines = [f"central: {_fmt_bool(central)}", f"poly: {canonical}"]
+    return {"central": central, "poly": canonical}, lines, central
 
 
-def _cmd_frobenius(args) -> int:
-    params = _load_params(args.params)
-    comparison = compare_frobenius(params)
-    payload = comparison.to_json_dict()
+def _cmd_frobenius(args):
+    comparison = compare_frobenius(_load_params(args.params))
     lines = [
         f"agree_mod_scalar: {_fmt_bool(comparison.agree_mod_scalar)}",
         f"ratio: {comparison.ratio.basis_string() if comparison.ratio is not None else None}",
         "bruteforce: " + ", ".join(c.basis_string() for c in comparison.bruteforce),
         "closedform: " + ", ".join(c.basis_string() for c in comparison.closedform),
     ]
-    _emit(payload, args.output == "json", lines)
-    return EXIT_TRUE if comparison.agree_mod_scalar else EXIT_FALSE
+    return comparison.to_json_dict(), lines, comparison.agree_mod_scalar
 
 
-def _cmd_twist_check(args) -> int:
-    params = _load_params(args.params)
-    twist = is_twist_realizable(params)
-    payload = {
-        "realizable": twist is not None,
-        "twist": list(twist) if twist is not None else None,
-    }
-    lines = [
-        f"realizable: {_fmt_bool(twist is not None)}",
-        f"twist: {list(twist) if twist is not None else None}",
-    ]
-    _emit(payload, args.output == "json", lines)
-    return EXIT_TRUE if twist is not None else EXIT_FALSE
+def _cmd_twist_check(args):
+    twist = is_twist_realizable(_load_params(args.params))
+    realizable = twist is not None
+    vector = list(twist) if realizable else None
+    lines = [f"realizable: {_fmt_bool(realizable)}", f"twist: {vector}"]
+    return {"realizable": realizable, "twist": vector}, lines, realizable
 
 
-def _cmd_patch(args) -> int:
-    params = _load_params(args.params)
-    patch = dehomogenize(params, args.invert)
-    payload = patch.to_json()
+def _cmd_patch(args):
+    patch = dehomogenize(_load_params(args.params), args.invert)
     lines = [
         f"order: {patch.order}",
         f"generators: {patch.num_generators}",
         f"exponents: {[list(r) for r in patch.exps]}",
         f"note: {patch.note}",
     ]
-    _emit(payload, args.output == "json", lines)
-    return EXIT_TRUE
+    return patch.to_json(), lines, None
 
 
-def _cmd_eval(args) -> int:
-    params = _load_params(args.params)
-    poly = _parse_poly_flag(args, params)
+def _cmd_eval(args):
+    poly = _parse_poly_flag(args, _load_params(args.params))
     canonical = print_poly(poly)
-    payload = {"canonical": canonical, "poly": poly.to_json()}
-    _emit(payload, args.output == "json", [canonical])
-    return EXIT_TRUE
+    return {"canonical": canonical, "poly": poly.to_json()}, [canonical], None
+
+
+# -- the command table ------------------------------------------------------------
+
+
+def _arg(name: str, **kwargs):
+    """An argument spec: the name and keywords of one add_argument call."""
+    return name, kwargs
+
+
+_DOCUMENT = _arg(
+    "params",
+    help="parameter document: a file path or inline JSON "
+    '(e.g. \'{"n":5,"twist":[1,2,3,4,0]}\')',
+)
+_OUTPUT = _arg(
+    "--output", choices=("text", "json"), default="text", help="report format (default: text)"
+)
+
+
+def _algebra(default: str):
+    return _arg("--algebra", choices=(ALGEBRA_B, ALGEBRA_A), default=default)
+
+
+def _polynomial(poly_help=None):
+    return (
+        _arg("--poly", required=True, help=poly_help),
+        _algebra(ALGEBRA_B),
+        _arg("--conductor", type=int, default=None),
+    )
+
+
+# (name, help, handler, arguments in usage order); every command ends with --output.
+_COMMANDS = (
+    ("check-cy", "decide the Calabi-Yau column-sum criterion", _cmd_check_cy, _DOCUMENT),
+    ("hilb1", "classify point modules", _cmd_hilb1, _DOCUMENT, _algebra(ALGEBRA_A)),
+    (
+        "census",
+        "exhaustive scan of all matrices for one n",
+        _cmd_census,
+        _arg("--n", type=int, required=True),
+        _arg("--workers", type=int, default=1, help="parallel workers (default: 1)"),
+        _arg("--witness-limit", type=int, default=3),
+        _arg("--csv", default=None, help="also write per-predicate counts as CSV"),
+    ),
+    (
+        "central",
+        "test centrality of a polynomial",
+        _cmd_central,
+        _DOCUMENT,
+        *_polynomial("polynomial expression, e.g. 'x1*x2'"),
+    ),
+    ("frobenius", "compare the two Frobenius automorphism routes", _cmd_frobenius, _DOCUMENT),
+    ("twist-check", "recognize twisted-coordinate-ring parameters", _cmd_twist_check, _DOCUMENT),
+    (
+        "patch",
+        "dehomogenized chart commutation exponents",
+        _cmd_patch,
+        _DOCUMENT,
+        _arg("--invert", type=int, required=True, help="1-based inverted generator"),
+    ),
+    ("eval", "parse, normal-order, and print a polynomial", _cmd_eval, _DOCUMENT, *_polynomial()),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,78 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_params_arg(p):
-        p.add_argument(
-            "params",
-            help="parameter document: a file path or inline JSON "
-            '(e.g. \'{"n":5,"twist":[1,2,3,4,0]}\')',
-        )
-
-    def add_output_flag(p):
-        p.add_argument(
-            "--output",
-            choices=("text", "json"),
-            default="text",
-            help="report format (default: text)",
-        )
-
-    p = sub.add_parser("check-cy", help="decide the Calabi-Yau column-sum criterion")
-    p.set_defaults(handler=_cmd_check_cy)
-    add_params_arg(p)
-    add_output_flag(p)
-
-    p = sub.add_parser("hilb1", help="classify point modules")
-    p.set_defaults(handler=_cmd_hilb1)
-    add_params_arg(p)
-    p.add_argument("--algebra", choices=(ALGEBRA_B, ALGEBRA_A), default=ALGEBRA_A)
-    add_output_flag(p)
-
-    p = sub.add_parser("census", help="exhaustive scan of all matrices for one n")
-    p.set_defaults(handler=_cmd_census)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="parallel workers (default: 1)",
-    )
-    p.add_argument("--witness-limit", type=int, default=3)
-    p.add_argument("--csv", default=None, help="also write per-predicate counts as CSV")
-    add_output_flag(p)
-
-    p = sub.add_parser("central", help="test centrality of a polynomial")
-    p.set_defaults(handler=_cmd_central)
-    add_params_arg(p)
-    p.add_argument("--poly", required=True, help="polynomial expression, e.g. 'x1*x2'")
-    p.add_argument("--algebra", choices=(ALGEBRA_B, ALGEBRA_A), default=ALGEBRA_B)
-    p.add_argument("--conductor", type=int, default=None)
-    add_output_flag(p)
-
-    p = sub.add_parser("frobenius", help="compare the two Frobenius automorphism routes")
-    p.set_defaults(handler=_cmd_frobenius)
-    add_params_arg(p)
-    add_output_flag(p)
-
-    p = sub.add_parser("twist-check", help="recognize twisted-coordinate-ring parameters")
-    p.set_defaults(handler=_cmd_twist_check)
-    add_params_arg(p)
-    add_output_flag(p)
-
-    p = sub.add_parser("patch", help="dehomogenized chart commutation exponents")
-    p.set_defaults(handler=_cmd_patch)
-    add_params_arg(p)
-    p.add_argument("--invert", type=int, required=True, help="1-based inverted generator")
-    add_output_flag(p)
-
-    p = sub.add_parser("eval", help="parse, normal-order, and print a polynomial")
-    p.set_defaults(handler=_cmd_eval)
-    add_params_arg(p)
-    p.add_argument("--poly", required=True)
-    p.add_argument("--algebra", choices=(ALGEBRA_B, ALGEBRA_A), default=ALGEBRA_B)
-    p.add_argument("--conductor", type=int, default=None)
-    add_output_flag(p)
-
+    for name, help_text, handler, *arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        for arg, kwargs in (*arguments, _OUTPUT):
+            p.add_argument(arg, **kwargs)
     return parser
 
 
@@ -294,7 +267,9 @@ def main(argv=None) -> int:
         # argparse has written its usage error (status 2) or help (status 0).
         return EXIT_INPUT if exc.code else EXIT_TRUE
     try:
-        return args.handler(args)
+        payload, lines, verdict = args.handler(args)
+        _emit(payload, args.output == "json", lines)
+        return EXIT_TRUE if verdict is None or verdict else EXIT_FALSE
     except CapacityError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CAPACITY

@@ -96,23 +96,6 @@ class PolyAst:
     conductor: int
     terms: tuple[PolyTerm, ...]
 
-    def __mul__(self, other: "PolyAst") -> "PolyAst":
-        """AST-level product: concatenate factor words term by term.
-
-        Factor order is preserved, so lowering the product agrees with
-        multiplying the lowered polynomials.
-        """
-        if not isinstance(other, PolyAst):
-            return NotImplemented
-        if self.n != other.n or self.conductor != other.conductor:
-            raise ValueError("operands parsed against different contexts")
-        out = tuple(
-            PolyTerm(a.coeff * b.coeff, a.factors + b.factors)
-            for a in self.terms
-            for b in other.terms
-        )
-        return PolyAst(self.n, self.conductor, out)
-
 
 # -- parser ---------------------------------------------------------------------------
 

@@ -27,7 +27,6 @@ from .qalgebra import (
     DiagAutomorphism,
     ParamsError,
     QuantumParams,
-    _column_phases,
     _sum_terms,
 )
 
@@ -59,7 +58,7 @@ class FrobeniusPairingError(RuntimeError):
 
 def column_sums(params: QuantumParams) -> tuple[int, ...]:
     """s_j = sum_i e_ij mod n, one value per column: the column phases of x_1...x_n."""
-    return next(_column_phases(params, [(1,) * params.n]))
+    return tuple(sum(col) % params.n for col in zip(*params.exps))
 
 
 @dataclass(frozen=True)
@@ -335,15 +334,12 @@ def frobenius_bruteforce(params: QuantumParams) -> tuple[Cyclotomic, ...]:
 
 
 def frobenius_closedform(params: QuantumParams) -> tuple[Cyclotomic, ...]:
-    """Scalars prod_i(-q_ji) per generator j, straight from the row sums."""
+    """Scalars prod_i(-q_ji) per generator j, read off the column sums."""
     n = params.n
     field = CycloField(2 * n)
-    out = []
-    for j in range(n):
-        row = sum(params.exps[j]) % n
-        # prod_i -zeta_n^(e_ji) = (-1)^n zeta_n^(rowsum) = zeta_2n^(n*n + 2*rowsum)
-        out.append(field.zeta((n * n + 2 * row) % (2 * n)))
-    return tuple(out)
+    # prod_i -zeta_n^(e_ji) = (-1)^n zeta_n^(r_j) = zeta_2n^(n*n + 2*r_j), and
+    # skew-symmetry makes the row sum r_j = -s_j mod n.
+    return tuple(field.zeta((n * n - 2 * s) % (2 * n)) for s in column_sums(params))
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations_with_replacement
 from math import factorial, prod
+from operator import sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .cyclo import CycloField, Cyclotomic
@@ -478,17 +479,17 @@ def iter_multidegrees(n: int, total: int, last_cap: int | None = None) -> Iterat
     """All length-n multidegrees of the given total degree, lexicographically.
 
     With last_cap set, the final entry is restricted to be < last_cap.
+    Stars and bars without recursion: the partial sums a_1, a_1 + a_2, ...
+    of the first n - 1 entries run over the non-decreasing sequences in
+    0..total, in lexicographic order, and the entries are their differences.
     """
     if n < 1 or total < 0:
         return
-    def rec(prefix: list[int], remaining: int, slots: int):
-        if slots == 1:
-            if last_cap is None or remaining < last_cap:
-                yield tuple(prefix + [remaining])
-            return
-        for v in range(remaining + 1):
-            yield from rec(prefix + [v], remaining - v, slots - 1)
-    yield from rec([], total, n)
+    last = (total,)
+    for partial in combinations_with_replacement(range(total + 1), n - 1):
+        md = tuple(map(sub, partial + last, (0, *partial)))
+        if last_cap is None or md[-1] < last_cap:
+            yield md
 
 
 def graded_dimension(params: QuantumParams, algebra: str, degree: int) -> int:

@@ -1,5 +1,6 @@
 """Command line surface: exit codes, JSON/text renderers, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -16,6 +17,7 @@ from qfermat.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
     EXIT_TRUE,
+    build_parser,
     main,
 )
 
@@ -357,6 +359,14 @@ def test_eval_json_round_trips_through_the_parser(capsys):
     assert reparsed == direct
 
 
+def test_eval_at_a_thousand_generators(capsys):
+    # A well-formed, unnested input: not "input nested too deeply to parse".
+    code = main(["eval", '{"n":1000,"entries":[]}', "--poly", "x1000^1000", "--algebra", "A"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (EXIT_TRUE, "")
+    assert out.count("^1000") == 999 and "x1000" not in out
+
+
 # -------------------------------------------------------------------- census
 
 
@@ -377,6 +387,15 @@ def test_census_csv_sidecar(capsys, tmp_path):
     assert any(line.startswith("total,27") for line in rows[1:])
 
 
+def test_census_csv_to_an_unwritable_path_prints_no_report(capsys, tmp_path):
+    # The CSV is written before the report, so a bad path leaves stdout empty.
+    code = main(["census", "--n", "3", "--csv", str(tmp_path / "missing" / "counts.csv")])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: [Errno 2] No such file or directory")
+
+
 def test_census_json_is_byte_identical_across_runs(capsys):
     _, first = run(capsys, "census", "--n", "3", "--output", "json")
     _, second = run(capsys, "census", "--n", "3", "--output", "json")
@@ -387,6 +406,30 @@ def test_check_cy_json_is_byte_identical_across_runs(capsys):
     _, first = run(capsys, "check-cy", TWIST5, "--output", "json")
     _, second = run(capsys, "check-cy", TWIST5, "--output", "json")
     assert first == second
+
+
+# ------------------------------------------------------------ command table
+
+
+def test_every_subcommand_is_documented_and_recorded():
+    """build_parser's subcommands are exactly the rows of the README command
+    table, and the corpus holds a report from each in text and in JSON."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    commands = set(sub.choices)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| command | does | headline predicate |", 1)[1].split("\n\n", 1)[0]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    assert sorted(row[3:].split("`")[0].split()[0] for row in rows) == sorted(commands)
+    corpus = json.loads(
+        (Path(__file__).parent / "data" / "cli_corpus.json").read_text(encoding="utf-8")
+    )
+    recorded = {
+        (e["argv"][0], ("--output", "json") in zip(e["argv"], e["argv"][1:]))
+        for e in corpus
+        if e["argv"] and e["code"] in (EXIT_TRUE, EXIT_FALSE)
+    }
+    assert recorded >= {(c, as_json) for c in commands for as_json in (False, True)}
 
 
 # ------------------------------------------------------------- import cost

@@ -320,9 +320,17 @@ def test_parser_algebra_coherence(pp, data):
         g = g + SkewPoly.monomial(p, md, coeff=field.zeta(data.draw(st.integers(0, p.n - 1))))
     ast_f = parse_poly(print_poly(f), p.n, p.n)
     ast_g = parse_poly(print_poly(g), p.n, p.n)
-    assert lower(ast_f * ast_g, p, "B") == multiply(
-        lower(ast_f, p, "B"), lower(ast_g, p, "B")
+    # The product's AST concatenates the factor words term by term, in order.
+    product = PolyAst(
+        p.n,
+        p.n,
+        tuple(
+            PolyTerm(a.coeff * b.coeff, a.factors + b.factors)
+            for a in ast_f.terms
+            for b in ast_g.terms
+        ),
     )
+    assert lower(product, p, "B") == multiply(lower(ast_f, p, "B"), lower(ast_g, p, "B"))
 
 
 def test_print_is_deterministic_and_ordered():

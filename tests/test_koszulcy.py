@@ -71,6 +71,11 @@ def test_cy_matches_literal_root_of_unity_products(p):
     )
 
 
+@given(params_st(min_n=2, max_n=8))
+def test_column_sums_match_the_entrywise_oracle(p):
+    assert column_sums(p) == tuple(_oracles.column_sums(p.exps))
+
+
 @given(params_st(min_n=2, max_n=6))
 def test_serre_twist_scalars_invert_the_column_sums(p):
     report = cy_criterion(p)

@@ -504,6 +504,17 @@ def test_iter_multidegrees_counts():
         assert sum(md) == 4 and md[-1] < 3
 
 
+def test_multidegrees_at_a_thousand_generators_do_not_recurse():
+    # One stack frame per generator used to exhaust the recursion limit near n = 990.
+    p = commutative_params(1000)
+    assert graded_dimension(p, ALGEBRA_B, 1) == 1000
+    # In A, x_1000^1000 = -(x_1^1000 + ... + x_999^1000).
+    f = lower(parse_poly("x1000^1000", 1000, 1000), p, ALGEBRA_A)
+    terms = f.terms
+    assert len(terms) == 999
+    assert set(terms) == {(0,) * i + (1000,) + (0,) * (999 - i) for i in range(999)}
+
+
 @given(st.integers(2, 5), st.integers(0, 8))
 def test_graded_dimension_of_the_ambient_algebra(n, d):
     p = random_params(n, random.Random(d))
