@@ -273,11 +273,6 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CAPACITY
-    except RecursionError:
-        # RecursionError subclasses RuntimeError; the recursive-descent
-        # parser raises it on input nested too deeply, which is an input fault.
-        sys.stderr.write("error: input nested too deeply to parse\n")
-        return EXIT_INPUT
     except MemoryError:
         # Out of memory is a capacity fault, never "predicate false".
         sys.stderr.write("error: out of memory\n")

@@ -22,7 +22,10 @@ are evaluated in Q(zeta_conductor) as they are read.
 The text is split into tokens by one regular expression, and the descent
 reads that list by index; source positions are worked out only for an error.
 The first character that can start no token, or an 'x' with no index, is
-reported before any syntax error, wherever that syntax error sits.
+reported before any syntax error, wherever that syntax error sits.  Each
+'(' costs the descent three stack frames, so parentheses nest at most
+MAX_NESTING deep; a deeper '(' is a syntax error at its position, well
+before the interpreter's recursion limit wherever the parser is called from.
 
 Parameter documents are JSON with "n" plus exactly one of "exponents" (full
 matrix), "twist" (vector d with e_ij = d_i - d_j), or "entries" (sparse list
@@ -50,6 +53,7 @@ from .qalgebra import (
 )
 
 __all__ = [
+    "MAX_NESTING",
     "ParamsDocError",
     "ParseError",
     "PolyAst",
@@ -105,6 +109,11 @@ _TOKEN = re.compile(r"[0-9]+|x[0-9]*|[^ \t\r\n]")
 _INVALID = re.compile(r"[^0-9xw+*/^() \t\r\n-]|x(?![0-9])")
 
 
+# '(' levels a coefficient may nest; 3 frames each, against the
+# interpreter's default limit of 1000 frames for the whole stack
+MAX_NESTING = 100
+
+
 class _Parser:
     # Recursive descent over the token strings, read by index; "" ends the
     # input.  Source positions are recovered only when an error is raised.
@@ -120,6 +129,7 @@ class _Parser:
         self.toks = _TOKEN.findall(text)
         self.toks.append("")
         self.k = 0
+        self.depth = 0
         self.n = n
         self.conductor = conductor
         self.field = CycloField(conductor)
@@ -263,8 +273,12 @@ class _Parser:
             self.k = k + 1
             return self.field.zeta(1)
         if tok == "(":
+            if self.depth == MAX_NESTING:
+                self.fail(f"parentheses nested more than {MAX_NESTING} deep", k)
+            self.depth += 1
             self.k = k + 1
             inner = self.coeff_expr()
+            self.depth -= 1
             k = self.k
             if toks[k] != ")":
                 self.fail("expected ')'", k)
@@ -392,13 +406,17 @@ def _int_literal(text: str) -> Union[int, _LongLiteral]:
 
 def _loads(document: str):
     try:
-        return json.loads(document)
-    except json.JSONDecodeError:
-        raise
-    except ValueError:
-        # an integer literal past the digit limit: decode again, keeping such
-        # literals for _require_int to name with their field
-        return json.loads(document, parse_int=_int_literal)
+        try:
+            return json.loads(document)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:
+            # an integer literal past the digit limit: decode again, keeping
+            # such literals for _require_int to name with their field
+            return json.loads(document, parse_int=_int_literal)
+    except RecursionError:
+        # the decoder recurses once per nested array or object
+        raise ParamsDocError("input nested too deeply to parse") from None
 
 
 def _require_int(value, path: str) -> int:

@@ -127,20 +127,25 @@ def _crossings(params: QuantumParams) -> list[list[int]]:
     return table
 
 
-def _blade_exponent(cross: list[list[int]], s: int, t: int):
-    # Product y_S * y_T of basis blades given as bitmasks (bit i = generator i+1),
-    # with cross = _crossings(params).  Returns (mask, e) with
-    # y_S y_T = zeta_(2n)^e y_(S|T), or None when the blades share a generator.
-    if s & t:
-        return None
-    e = 0
-    tt = t
-    while tt:
-        low = tt & -tt
-        b = low.bit_length() - 1
-        e += cross[b][s >> (b + 1)]
-        tt ^= low
-    return s | t, e % (2 * len(cross))
+def _blade_products(cross: list[list[int]], s: int, ts) -> list[tuple[int, int, int]]:
+    # Products y_S * y_T of basis blades given as bitmasks (bit i = generator
+    # i+1), one for each T in ts, with cross = _crossings(params).  Returns
+    # (t, s | t, e) with y_S y_T = zeta_(2n)^e y_(S|T) for each t sharing no
+    # generator with s, in the order of ts; a pair that overlaps vanishes in
+    # the first comprehension.  Each generator b of t then adds what it picks
+    # up crossing the generators of s above it.
+    m = 2 * len(cross)
+    out = []
+    for t in [t for t in ts if not s & t]:
+        e = 0
+        rest = t
+        while rest:
+            low = rest & -rest
+            b = low.bit_length() - 1
+            e += cross[b][s >> (b + 1)]
+            rest ^= low
+        out.append((t, s | t, e % m))
+    return out
 
 
 class ExtElement:
@@ -222,13 +227,12 @@ class ExtElement:
         # blade exponents count 2n-th roots; the field may be a larger one
         step = self.field.conductor // (2 * self.params.n)
         cross = _crossings(self.params)
-        pairs = []
-        for s, cs in self._terms.items():
-            for t, ct in other._terms.items():
-                r = _blade_exponent(cross, s, t)
-                if r is not None:
-                    mask, e = r
-                    pairs.append((mask, cs * ct * self.field.zeta(step * e)))
+        right = other._terms
+        pairs = [
+            (mask, cs * right[t] * self.field.zeta(step * e))
+            for s, cs in self._terms.items()
+            for t, mask, e in _blade_products(cross, s, right)
+        ]
         return ExtElement(self.params, _sum_terms(pairs), self.field)
 
     def __eq__(self, other):
@@ -262,16 +266,12 @@ def _mask_to_subset(mask: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _grades(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    # Blade masks grouped by popcount in increasing order, and each mask's
-    # slot in its group.
+def _grades(n: int) -> tuple[tuple[int, ...], ...]:
+    # Blade masks grouped by popcount, each group in increasing order.
     groups: list[list[int]] = [[] for _ in range(n + 1)]
-    slot = []
     for mask in range(1 << n):
-        group = groups[mask.bit_count()]
-        slot.append(len(group))
-        group.append(mask)
-    return tuple(map(tuple, groups)), tuple(slot)
+        groups[mask.bit_count()].append(mask)
+    return tuple(map(tuple, groups))
 
 
 def _pairing_failure(u: int, v: int) -> FrobeniusPairingError:
@@ -283,15 +283,18 @@ def frobenius_bruteforce(params: QuantumParams) -> tuple[Cyclotomic, ...]:
 
     Every nonzero blade product is a power of zeta_2n times a blade, so the
     search runs on exponents mod 2n.  Each of the C(2n, n) ordered pairs of
-    blades of complementary degree is multiplied exactly once: the product
+    blades of complementary degree is multiplied exactly once, by one call
+    of _blade_products per left blade u on u's whole complementary grade;
+    the pairs sharing a generator vanish inside that call.  The product
     y_u y_v must vanish unless v is the complement of u, and then it must be
     the top blade.  The scalar of y_j is read off the two products of y_j
     with its complement, and the candidate is verified on every
-    complementary pair (a b = phi(b) a in the top component).  A
-    verification failure raises FrobeniusPairingError, since the pairing
-    identity is forced by the structure; it would indicate an implementation
-    bug, not bad input.  n above FROBENIUS_MAX_N raises CapacityError before
-    any product is formed.
+    complementary pair (a b = phi(b) a in the top component).  A surviving
+    product other than the complement's, a missing or misplaced complement,
+    or a failed identity raises FrobeniusPairingError naming the pair, since
+    the pairing identity is forced by the structure; it would indicate an
+    implementation bug, not bad input.  n above FROBENIUS_MAX_N raises
+    CapacityError before any product is formed.
     """
     n = params.n
     if n > FROBENIUS_MAX_N:
@@ -301,24 +304,23 @@ def frobenius_bruteforce(params: QuantumParams) -> tuple[Cyclotomic, ...]:
         )
     m = 2 * n
     top = (1 << n) - 1
-    groups, slot = _grades(n)
+    groups = _grades(n)
     cross = _crossings(params)
     # bound once per call: a local name in the loop, and a replacement set
     # on the module since the last call is still the one run
-    blade_exponent = _blade_exponent
+    blade_products = _blade_products
     # pair[u]: exponent of y_u y_(top ^ u) = zeta_2n^pair[u] y_top
     pair = []
     for u in range(1 << n):
         c = top ^ u
-        grade = groups[n - u.bit_count()]
-        row = [blade_exponent(cross, u, v) for v in grade]
-        r = row[slot[c]]
-        if r is None or r[0] != top:
-            raise _pairing_failure(u, c)
-        if row.count(None) != len(row) - 1:
-            v = next(v for v, x in zip(grade, row) if v != c and x is not None)
-            raise _pairing_failure(u, v)
-        pair.append(r[1])
+        # only the complement shares no generator with u, so the row holds
+        # that one product
+        row = blade_products(cross, u, groups[n - u.bit_count()])
+        if len(row) != 1 or row[0][0] != c or row[0][1] != top:
+            if [mask for v, mask, _ in row if v == c] != [top]:
+                raise _pairing_failure(u, c)
+            raise _pairing_failure(u, next(v for v, _, _ in row if v != c))
+        pair.append(row[0][2])
     exponents = [(pair[top ^ (1 << j)] - pair[1 << j]) % m for j in range(n)]
 
     # phi(y_V) = prod_(j in V) scalar_j, built from the mask without its lowest bit

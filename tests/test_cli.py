@@ -21,6 +21,8 @@ from qfermat.cli import (
     main,
 )
 
+from _util import corrupt_pair
+
 TWIST5 = '{"n":5,"twist":[1,2,3,4,0]}'
 GENERIC4 = '{"n":4,"exponents":[[0,0,0,0],[0,0,1,3],[0,3,0,1],[0,1,3,0]]}'
 SKEW5 = '{"n":5,"twist":[1,0,0,0,0]}'
@@ -111,29 +113,24 @@ def test_census_capacity_exit(capsys):
 
 
 def test_frobenius_pairing_failure_is_an_internal_error(capsys, monkeypatch):
-    real = koszulcy._blade_exponent
-
-    def corrupted(params, s, t):
-        r = real(params, s, t)
-        return r if r is None or (s, t) != (0b0011, 0b1100) else (r[0], r[1] + 1)
-
-    monkeypatch.setattr(koszulcy, "_blade_exponent", corrupted)
+    corrupted = corrupt_pair(koszulcy._blade_products, (0b0011, 0b1100), 4)
+    monkeypatch.setattr(koszulcy, "_blade_products", corrupted)
     code = main(["frobenius", GENERIC4])
     out, err = capsys.readouterr()
     assert code == EXIT_INTERNAL
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "FrobeniusPairingError" in err and "0b11, 0b1100" in err
+    assert err == (
+        "error: internal: FrobeniusPairingError: "
+        "pairing identity failed on blades 0b11, 0b1100\n"
+    )
 
 
 def test_frobenius_overlapping_pair_failure_is_an_internal_error(capsys, monkeypatch):
     # blades sharing generator 2 must multiply to zero
-    real = koszulcy._blade_exponent
-
-    def corrupted(params, s, t):
-        return (s | t, 0) if (s, t) == (0b0011, 0b0110) else real(params, s, t)
-
-    monkeypatch.setattr(koszulcy, "_blade_exponent", corrupted)
+    corrupted = corrupt_pair(koszulcy._blade_products, (0b0011, 0b0110), 4)
+    monkeypatch.setattr(koszulcy, "_blade_products", corrupted)
     code = main(["frobenius", GENERIC4])
     out, err = capsys.readouterr()
     assert code == EXIT_INTERNAL
@@ -217,7 +214,30 @@ def test_deeply_nested_poly_is_an_input_error(capsys):
     out, err = capsys.readouterr()
     assert code == EXIT_INPUT
     assert out == ""
+    assert err == "error: at position 100: parentheses nested more than 100 deep\n"
+
+
+def test_deeply_nested_document_is_an_input_error(capsys):
+    # the JSON decoder recurses once per '[', and that stays an input fault
+    code = main(["check-cy", "[" * 100000])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert out == ""
     assert err == "error: input nested too deeply to parse\n"
+
+
+def test_recursion_error_outside_the_parsers_is_an_internal_error(capsys, monkeypatch):
+    # only the parsers turn deep nesting into an input error; a RecursionError
+    # anywhere else is a bug and must not read as bad input
+    def runaway(params):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("qfermat.cli.cy_criterion", runaway)
+    code = main(["check-cy", TWIST5])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "error: internal: RecursionError: maximum recursion depth exceeded\n"
 
 
 def test_out_of_memory_is_a_capacity_error(capsys, monkeypatch):

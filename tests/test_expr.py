@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qfermat.cyclo import CycloField
 from qfermat.expr import (
+    MAX_NESTING,
     Factor,
     ParamsDocError,
     ParseError,
@@ -150,6 +151,27 @@ def test_overlong_integer_literals_are_parse_errors(text, where):
         parse_poly(text, 5, 5)
     assert err.value.position == where
     assert str(err.value) == f"at position {where}: integer literal of 4301 digits is too long"
+
+
+def _nested(depth):
+    return "(" * depth + "1 + w" + ")" * depth + "*x1"
+
+
+def _call_below(frames, f):
+    return f() if frames == 0 else _call_below(frames - 1, f)
+
+
+@pytest.mark.parametrize("frames", [0, 300])
+def test_nesting_is_bounded_by_the_parser_not_the_callers_stack(frames):
+    # The limit parses and one '(' more is refused at its position, also
+    # with 300 caller frames already on the stack.
+    deepest = _call_below(frames, lambda: parse_poly(_nested(MAX_NESTING), 5, 5))
+    assert deepest == parse_poly("(1 + w)*x1", 5, 5)
+    with pytest.raises(ParseError) as err:
+        _call_below(frames, lambda: parse_poly(_nested(MAX_NESTING + 1), 5, 5))
+    assert str(err.value) == (
+        f"at position {MAX_NESTING}: parentheses nested more than {MAX_NESTING} deep"
+    )
 
 
 def test_mandatory_star_between_coefficient_atoms():

@@ -37,7 +37,7 @@ from qfermat.qalgebra import (
 )
 
 import _oracles
-from _util import params_st, random_params
+from _util import corrupt_pair, params_st, random_params
 
 
 # -------------------------------------------------------------- CY criterion
@@ -183,9 +183,25 @@ def test_blade_exponent_matches_the_crossing_count_oracle(n):
         cross = koszulcy._crossings(p)
         for s in range(1 << n):
             for t in range(1 << n):
-                assert koszulcy._blade_exponent(cross, s, t) == (
-                    _oracles.blade_product_exponent(p.exps, s, t)
+                r = _oracles.blade_product_exponent(p.exps, s, t)
+                assert koszulcy._blade_products(cross, s, [t]) == (
+                    [] if r is None else [(t, *r)]
                 )
+
+
+@given(st.data(), params_st(min_n=2, max_n=7))
+def test_blade_products_are_the_nonzero_oracle_products_in_order(data, p):
+    # ts in any order, with repeats and masks overlapping s; ExtElement and
+    # the Frobenius sweep both rely on this contract
+    blades = st.integers(0, (1 << p.n) - 1)
+    s = data.draw(blades)
+    ts = data.draw(st.lists(blades, max_size=12))
+    expected = [
+        (t, *r)
+        for t in ts
+        if (r := _oracles.blade_product_exponent(p.exps, s, t)) is not None
+    ]
+    assert koszulcy._blade_products(koszulcy._crossings(p), s, ts) == expected
 
 
 # ----------------------------------------------------------------- Frobenius
@@ -268,17 +284,10 @@ def _pairing_pairs(n):
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_pairing_sweep_rejects_any_single_corrupted_pair(n, monkeypatch):
     p = random_params(n, random.Random(n))
-    real = koszulcy._blade_exponent
+    real = koszulcy._blade_products
     checked = 0
     for bad in _pairing_pairs(n):
-
-        def corrupted(params, s, t, bad=bad):
-            r = real(params, s, t)
-            if (s, t) != bad:
-                return r
-            return (s | t, 0) if r is None else (r[0], (r[1] + 1) % (2 * n))
-
-        monkeypatch.setattr(koszulcy, "_blade_exponent", corrupted)
+        monkeypatch.setattr(koszulcy, "_blade_products", corrupt_pair(real, bad, n))
         with pytest.raises(FrobeniusPairingError) as info:
             frobenius_bruteforce(p)
         u, v = bad
@@ -287,7 +296,7 @@ def test_pairing_sweep_rejects_any_single_corrupted_pair(n, monkeypatch):
             f"pairing identity failed on blades {v:#b}, {u:#b}",
         )
         checked += 1
-    monkeypatch.setattr(koszulcy, "_blade_exponent", real)
+    monkeypatch.setattr(koszulcy, "_blade_products", real)
     frobenius_bruteforce(p)
     # C(2n, n) pairs, less the two with an empty blade, the 2n that fix
     # scalars and the C(n, n/2) pairs (u, u)
@@ -300,14 +309,14 @@ def test_pairing_sweep_forms_each_complementary_degree_product_once(n, monkeypat
     # Every ordered pair (s, t) with |s| + |t| = n is multiplied, overlapping
     # pairs included, and none twice: C(2n, n) products in all.
     p = random_params(n, random.Random(n))
-    real = koszulcy._blade_exponent
+    real = koszulcy._blade_products
     calls = []
 
-    def recorder(params, s, t):
-        calls.append((s, t))
-        return real(params, s, t)
+    def recorder(cross, s, ts):
+        calls.extend((s, t) for t in ts)
+        return real(cross, s, ts)
 
-    monkeypatch.setattr(koszulcy, "_blade_exponent", recorder)
+    monkeypatch.setattr(koszulcy, "_blade_products", recorder)
     frobenius_bruteforce(p)
     every = {
         (s, t)
@@ -321,7 +330,7 @@ def test_pairing_sweep_forms_each_complementary_degree_product_once(n, monkeypat
 
 def test_frobenius_refuses_n_beyond_the_bound_before_any_product(monkeypatch):
     calls = []
-    monkeypatch.setattr(koszulcy, "_blade_exponent", lambda *args: calls.append(args))
+    monkeypatch.setattr(koszulcy, "_blade_products", lambda *args: calls.append(args))
     p = random_params(FROBENIUS_MAX_N + 1, random.Random(0))
     with pytest.raises(CapacityError) as info:
         compare_frobenius(p)
@@ -375,9 +384,11 @@ def _generic_frobenius_json(p):
 
 
 def test_frobenius_json_matches_the_generic_arithmetic_path():
+    # n = 10 and the cap are one matrix each: the sweep there forms 184,756
+    # and 2,704,156 blade products
     rng = random.Random(0xF2)
-    for n in range(2, 9):
-        for _ in range({7: 4, 8: 2}.get(n, 12)):
+    for n in (*range(2, 9), 10, FROBENIUS_MAX_N):
+        for _ in range({7: 4, 8: 2, 10: 1, FROBENIUS_MAX_N: 1}.get(n, 12)):
             p = random_params(n, rng)
             fast = json.dumps(compare_frobenius(p).to_json_dict(), sort_keys=True)
             assert fast == json.dumps(_generic_frobenius_json(p), sort_keys=True)
