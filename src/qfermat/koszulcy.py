@@ -127,24 +127,24 @@ def _crossings(params: QuantumParams) -> list[list[int]]:
     return table
 
 
-def _blade_products(cross: list[list[int]], s: int, ts) -> list[tuple[int, int, int]]:
+def _blade_products(cross: list[list[int]], ss, ts) -> list[tuple[int, int, int, int]]:
     # Products y_S * y_T of basis blades given as bitmasks (bit i = generator
-    # i+1), one for each T in ts, with cross = _crossings(params).  Returns
-    # (t, s | t, e) with y_S y_T = zeta_(2n)^e y_(S|T) for each t sharing no
-    # generator with s, in the order of ts; a pair that overlaps vanishes in
-    # the first comprehension.  Each generator b of t then adds what it picks
-    # up crossing the generators of s above it.
+    # i+1), one for each S in ss and T in ts, with cross = _crossings(params).
+    # Returns (s, t, s | t, e) with y_S y_T = zeta_(2n)^e y_(S|T) for each pair
+    # sharing no generator, s-major and in the input order.  One comprehension
+    # forms every pair and drops the overlapping ones, which vanish; each
+    # generator b of a surviving t, highest first, then adds what it picks up
+    # crossing the generators of s above it.
     m = 2 * len(cross)
     out = []
-    for t in [t for t in ts if not s & t]:
+    for s, t in [(s, t) for s in ss for t in ts if not s & t]:
         e = 0
         rest = t
         while rest:
-            low = rest & -rest
-            b = low.bit_length() - 1
-            e += cross[b][s >> (b + 1)]
-            rest ^= low
-        out.append((t, s | t, e % m))
+            b = rest.bit_length() - 1
+            rest ^= 1 << b
+            e += cross[b][s >> b + 1]
+        out.append((s, t, s | t, e % m))
     return out
 
 
@@ -227,11 +227,10 @@ class ExtElement:
         # blade exponents count 2n-th roots; the field may be a larger one
         step = self.field.conductor // (2 * self.params.n)
         cross = _crossings(self.params)
-        right = other._terms
+        left, right = self._terms, other._terms
         pairs = [
-            (mask, cs * right[t] * self.field.zeta(step * e))
-            for s, cs in self._terms.items()
-            for t, mask, e in _blade_products(cross, s, right)
+            (mask, left[s] * right[t] * self.field.zeta(step * e))
+            for s, t, mask, e in _blade_products(cross, left, right)
         ]
         return ExtElement(self.params, _sum_terms(pairs), self.field)
 
@@ -278,23 +277,40 @@ def _pairing_failure(u: int, v: int) -> FrobeniusPairingError:
     return FrobeniusPairingError(f"pairing identity failed on blades {u:#b}, {v:#b}")
 
 
+def _row_failure(us, row, top: int) -> FrobeniusPairingError:
+    # The pair to name when a grade's row is not (u, top ^ u, top, e) for each
+    # left blade u in us, in order: a missing, misplaced or wrong complement
+    # names (u, top ^ u), an extra survivor names itself.  Once every u has
+    # its complement in place, what is left over is a survivor of no u.
+    for i, u in enumerate(us):
+        c = top ^ u
+        got = [(t, mask) for s, t, mask, _ in row if s == u]
+        if [mask for t, mask in got if t == c] != [top] or row[i][0] != u:
+            return _pairing_failure(u, c)
+        if len(got) > 1:
+            return _pairing_failure(u, next(t for t, _ in got if t != c))
+    return _pairing_failure(*row[len(us)][:2])
+
+
 def frobenius_bruteforce(params: QuantumParams) -> tuple[Cyclotomic, ...]:
     """Diagonal automorphism scalars of the dual Frobenius pairing, by search.
 
     Every nonzero blade product is a power of zeta_2n times a blade, so the
     search runs on exponents mod 2n.  Each of the C(2n, n) ordered pairs of
     blades of complementary degree is multiplied exactly once, by one call
-    of _blade_products per left blade u on u's whole complementary grade;
-    the pairs sharing a generator vanish inside that call.  The product
-    y_u y_v must vanish unless v is the complement of u, and then it must be
-    the top blade.  The scalar of y_j is read off the two products of y_j
-    with its complement, and the candidate is verified on every
-    complementary pair (a b = phi(b) a in the top component).  A surviving
-    product other than the complement's, a missing or misplaced complement,
-    or a failed identity raises FrobeniusPairingError naming the pair, since
-    the pairing identity is forced by the structure; it would indicate an
-    implementation bug, not bad input.  n above FROBENIUS_MAX_N raises
-    CapacityError before any product is formed.
+    of _blade_products per grade k, on the blades of grade k against those
+    of grade n - k: n + 1 calls in all.  The pairs sharing a generator
+    vanish inside that call.  The product y_u y_v must vanish unless v is
+    the complement of u, and then it must be the top blade, so a grade's
+    row holds one product per left blade, in the grade's order.  The scalar
+    of y_j is read off the two products of y_j with its complement, and the
+    candidate is verified on every complementary pair (a b = phi(b) a in
+    the top component).  A surviving product other than the complement's,
+    a missing or misplaced complement, or a failed identity raises
+    FrobeniusPairingError naming the pair, since the pairing identity is
+    forced by the structure; it would indicate an implementation bug, not
+    bad input.  n above FROBENIUS_MAX_N raises CapacityError before any
+    product is formed.
     """
     n = params.n
     if n > FROBENIUS_MAX_N:
@@ -306,21 +322,18 @@ def frobenius_bruteforce(params: QuantumParams) -> tuple[Cyclotomic, ...]:
     top = (1 << n) - 1
     groups = _grades(n)
     cross = _crossings(params)
-    # bound once per call: a local name in the loop, and a replacement set
-    # on the module since the last call is still the one run
-    blade_products = _blade_products
     # pair[u]: exponent of y_u y_(top ^ u) = zeta_2n^pair[u] y_top
-    pair = []
-    for u in range(1 << n):
-        c = top ^ u
-        # only the complement shares no generator with u, so the row holds
-        # that one product
-        row = blade_products(cross, u, groups[n - u.bit_count()])
-        if len(row) != 1 or row[0][0] != c or row[0][1] != top:
-            if [mask for v, mask, _ in row if v == c] != [top]:
-                raise _pairing_failure(u, c)
-            raise _pairing_failure(u, next(v for v, _, _ in row if v != c))
-        pair.append(row[0][2])
+    pair = [0] * (1 << n)
+    for k, us in enumerate(groups):
+        # only its complement shares no generator with u, so the row holds
+        # that one product per left blade, in the order of the grade
+        row = _blade_products(cross, us, groups[n - k])
+        if len(row) != len(us):
+            raise _row_failure(us, row, top)
+        for u, (s, t, mask, e) in zip(us, row):
+            if s != u or t != top ^ u or mask != top:
+                raise _row_failure(us, row, top)
+            pair[u] = e
     exponents = [(pair[top ^ (1 << j)] - pair[1 << j]) % m for j in range(n)]
 
     # phi(y_V) = prod_(j in V) scalar_j, built from the mask without its lowest bit

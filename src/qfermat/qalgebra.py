@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement
 from math import factorial, prod
-from operator import sub
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .cyclo import CycloField, Cyclotomic
@@ -163,11 +163,6 @@ def _runs_phase(params: QuantumParams, runs) -> tuple[int, Multidegree]:
             if a > b:
                 phase += pa * pb * row[b - 1]
     return phase % params.n, tuple(degs)
-
-
-def _runs(md: Multidegree) -> list[tuple[int, int]]:
-    # The (generator, power) runs of the sorted word x^md.
-    return [(i, e) for i, e in enumerate(md, 1) if e]
 
 
 def normal_order(params: QuantumParams, word: Iterable[int]) -> tuple[int, Multidegree]:
@@ -386,17 +381,22 @@ def multiply(f: SkewPoly, g: SkewPoly) -> SkewPoly:
     f._check_compatible(g)
     params = f.params
     field = f.field
-    scale = field.conductor // params.n
-    right = [(_runs(b), cb) for b, cb in g._terms.items()]
+    n = params.n
+    scale = field.conductor // n
+    # x^a x^b = zeta_n^(a . v_b) x^(a+b) with v_b[i] = sum_(j<i) e_ij b_j: each
+    # x_i of x^a crosses the x_j of x^b with j < i once per pair of letters
+    right = [
+        (b, [sum(map(mul, row[:i], b)) % n for i, row in enumerate(params.exps)], cb)
+        for b, cb in g._terms.items()
+    ]
     pairs = []
     for a, ca in f._terms.items():
-        left = _runs(a)
-        for runs, cb in right:
-            ph, md = _runs_phase(params, left + runs)
+        for b, vb, cb in right:
             coeff = ca * cb
+            ph = sum(map(mul, a, vb)) % n
             if ph:
-                coeff = coeff * field.zeta(scale * ph)
-            pairs.append((md, coeff))
+                coeff = coeff.mul_zeta(scale * ph)
+            pairs.append((tuple(map(add, a, b)), coeff))
     return _build(params, f.algebra, field, pairs)
 
 

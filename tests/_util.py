@@ -24,17 +24,19 @@ def random_params(n, rng: random.Random) -> QuantumParams:
 def corrupt_pair(real, bad, n):
     """koszulcy._blade_products (passed as real) with the one ordered blade
     pair bad = (s, t) corrupted: an overlapping pair survives as
-    (t, s | t, 0), a disjoint one has its exponent moved by 1 mod 2n."""
+    (s, t, s | t, 0), a disjoint one has its exponent moved by 1 mod 2n."""
 
-    def corrupted(cross, s, ts):
-        if s != bad[0]:
-            return real(cross, s, ts)
+    def corrupted(cross, ss, ts):
         out = []
-        for t in ts:
-            row = real(cross, s, [t])
-            if t == bad[1]:
-                row = [(t, s | t, 0)] if not row else [(t, row[0][1], (row[0][2] + 1) % (2 * n))]
-            out += row
+        for s in ss:
+            if s != bad[0]:
+                out += real(cross, [s], ts)
+                continue
+            for t in ts:
+                row = real(cross, [s], [t])
+                if t == bad[1]:
+                    row = [(s, t, s | t, 0)] if not row else [(*row[0][:3], (row[0][3] + 1) % (2 * n))]
+                out += row
         return out
 
     return corrupted

@@ -184,24 +184,26 @@ def test_blade_exponent_matches_the_crossing_count_oracle(n):
         for s in range(1 << n):
             for t in range(1 << n):
                 r = _oracles.blade_product_exponent(p.exps, s, t)
-                assert koszulcy._blade_products(cross, s, [t]) == (
-                    [] if r is None else [(t, *r)]
+                assert koszulcy._blade_products(cross, [s], [t]) == (
+                    [] if r is None else [(s, t, *r)]
                 )
 
 
 @given(st.data(), params_st(min_n=2, max_n=7))
 def test_blade_products_are_the_nonzero_oracle_products_in_order(data, p):
-    # ts in any order, with repeats and masks overlapping s; ExtElement and
-    # the Frobenius sweep both rely on this contract
+    # ss and ts in any order, with repeats and masks overlapping each other;
+    # the products come s-major.  ExtElement and the Frobenius sweep both
+    # rely on this contract
     blades = st.integers(0, (1 << p.n) - 1)
-    s = data.draw(blades)
+    ss = data.draw(st.lists(blades, max_size=6))
     ts = data.draw(st.lists(blades, max_size=12))
     expected = [
-        (t, *r)
+        (s, t, *r)
+        for s in ss
         for t in ts
         if (r := _oracles.blade_product_exponent(p.exps, s, t)) is not None
     ]
-    assert koszulcy._blade_products(koszulcy._crossings(p), s, ts) == expected
+    assert koszulcy._blade_products(koszulcy._crossings(p), ss, ts) == expected
 
 
 # ----------------------------------------------------------------- Frobenius
@@ -312,9 +314,9 @@ def test_pairing_sweep_forms_each_complementary_degree_product_once(n, monkeypat
     real = koszulcy._blade_products
     calls = []
 
-    def recorder(cross, s, ts):
-        calls.extend((s, t) for t in ts)
-        return real(cross, s, ts)
+    def recorder(cross, ss, ts):
+        calls.extend((s, t) for s in ss for t in ts)
+        return real(cross, ss, ts)
 
     monkeypatch.setattr(koszulcy, "_blade_products", recorder)
     frobenius_bruteforce(p)
@@ -326,6 +328,68 @@ def test_pairing_sweep_forms_each_complementary_degree_product_once(n, monkeypat
     }
     assert set(calls) == every
     assert len(calls) == comb(2 * n, n)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_pairing_sweep_makes_one_product_call_per_grade(n, monkeypatch):
+    p = random_params(n, random.Random(n))
+    real = koszulcy._blade_products
+    calls = []
+
+    def recorder(cross, ss, ts):
+        calls.append(len(ss))
+        return real(cross, ss, ts)
+
+    monkeypatch.setattr(koszulcy, "_blade_products", recorder)
+    frobenius_bruteforce(p)
+    assert calls == [comb(n, k) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("fault", ["drop", "swap"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_pairing_sweep_names_a_missing_or_misplaced_complement(n, fault, monkeypatch):
+    # A row that loses the product of u with its complement, or holds it
+    # after the next blade's, fails on (u, top ^ u).
+    p = random_params(n, random.Random(n))
+    real = koszulcy._blade_products
+    top = (1 << n) - 1
+    checked = 0
+    for u in range(1 << n):
+
+        def faulty(cross, ss, ts):
+            row = real(cross, ss, ts)
+            i = next((i for i, r in enumerate(row) if r[0] == u), None)
+            if i is not None and fault == "drop":
+                del row[i]
+            elif i is not None:
+                row[i], row[i + 1] = row[i + 1], row[i]
+            return row
+
+        if fault == "swap" and u == max(koszulcy._grades(n)[u.bit_count()]):
+            continue
+        monkeypatch.setattr(koszulcy, "_blade_products", faulty)
+        with pytest.raises(FrobeniusPairingError) as info:
+            frobenius_bruteforce(p)
+        assert str(info.value) == f"pairing identity failed on blades {u:#b}, {top ^ u:#b}"
+        checked += 1
+    # a swap needs a next blade in u's grade: the last of each grade has none
+    assert checked == (1 << n) - (n + 1 if fault == "swap" else 0)
+
+
+def test_pairing_sweep_names_a_product_of_no_blade_in_the_grade(monkeypatch):
+    # every left blade of grade 1 has its complement in place, and the row
+    # ends in a product whose left blade is the top one
+    p = random_params(3, random.Random(3))
+    real = koszulcy._blade_products
+
+    def stray(cross, ss, ts):
+        row = real(cross, ss, ts)
+        return row + [(0b111, 0, 0b111, 0)] if ss == (1, 2, 4) else row
+
+    monkeypatch.setattr(koszulcy, "_blade_products", stray)
+    with pytest.raises(FrobeniusPairingError) as info:
+        frobenius_bruteforce(p)
+    assert str(info.value) == "pairing identity failed on blades 0b111, 0b0"
 
 
 def test_frobenius_refuses_n_beyond_the_bound_before_any_product(monkeypatch):
