@@ -15,7 +15,9 @@ The roots of unity that ``CycloField.zeta`` interns also carry their exponent.
 Products, quotients, inverses and powers among them are additions of
 exponents mod m, and a general element times a root is a cyclic shift of its
 numerators followed by one reduction pass (``Cyclotomic.mul_zeta``).  That
-map is unimodular on Z[zeta], so it needs no gcd.
+map is unimodular on Z[zeta], so it needs no gcd.  A root's JSON coordinate
+strings are made once per field and exponent, and copied on each
+serialization.
 """
 
 from __future__ import annotations
@@ -87,10 +89,12 @@ class CycloField:
     """The field Q(zeta_m), with zeta_m a fixed primitive m-th root of unity.
 
     Instances are interned by conductor, so identity comparison is safe and
-    the reduction table is built once.
+    the reduction table is built once.  ``_roots`` holds the interned roots
+    by exponent, and ``_root_coords`` their JSON coordinate strings, filled
+    the first time each root is serialized; both have at most m entries.
     """
 
-    __slots__ = ("conductor", "modulus", "degree", "_powtable", "_roots")
+    __slots__ = ("conductor", "modulus", "degree", "_powtable", "_roots", "_root_coords")
 
     _interned: dict[int, "CycloField"] = {}
 
@@ -106,6 +110,7 @@ class CycloField:
         self.degree = len(self.modulus) - 1
         self._powtable = self._build_powtable()
         self._roots = {}
+        self._root_coords = {}
         cls._interned[conductor] = self
         return self
 
@@ -438,12 +443,24 @@ class Cyclotomic:
     # -- conversions -----------------------------------------------------------
 
     def to_json(self) -> dict:
+        """``{"conductor": m, "coords": [...]}`` with each coordinate a rational
+        string, as ``str(Fraction)`` spells it.  A root zeta_m^k copies its
+        strings from the field, which makes them from the root's own
+        numerators the first time a root with exponent k is serialized; the
+        dict and the list are fresh on every call."""
+        field = self.field
+        e = self.root_exp
+        if e is not None:
+            coords = field._root_coords.get(e)
+            if coords is None:
+                coords = field._root_coords[e] = tuple(map(str, self.nums))
+            return {"conductor": field.conductor, "coords": list(coords)}
         den = self.den
         if den == 1:
             coords = [str(c) for c in self.nums]
         else:
             coords = [_fraction_str(c, den) for c in self.nums]
-        return {"conductor": self.field.conductor, "coords": coords}
+        return {"conductor": field.conductor, "coords": coords}
 
     def basis_string(self) -> str:
         """Human-readable form using w for the primitive root, e.g. '1 - 2*w^3'."""

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple, NoReturn, Union
 
+from .census import CapacityError
 from .cyclo import CycloField, Cyclotomic, _fraction_str
 from .qalgebra import (
     ALGEBRA_B,
@@ -429,11 +430,28 @@ def _require_int(value, path: str) -> int:
     return value
 
 
+# Every form of a parameter document builds an n x n matrix, so n is bounded
+# as soon as it is read: at most 2000^2 = 4,000,000 cells.
+_PARAMS_MAX_N = 2000
+
+
+def _check_size(n: int) -> None:
+    if n > _PARAMS_MAX_N:
+        # n^2 is spelled out only while it is far below any digit limit the
+        # interpreter accepts for int-to-str conversion (at least 640).
+        cells = f"{n}^2 = {n * n}" if n < 10**100 else f"{n}^2"
+        raise CapacityError(
+            f"n={n} needs {cells} matrix cells, beyond the supported bound "
+            f"of {_PARAMS_MAX_N ** 2} cells (n <= {_PARAMS_MAX_N})"
+        )
+
+
 def parse_params(document: Union[str, dict]) -> QuantumParams:
     """Resolve a JSON parameter document to validated QuantumParams.
 
     Accepts raw JSON text or an already-decoded object.  Exactly one of the
-    three representations must be present.
+    three representations must be present.  n above 2000 raises
+    CapacityError before any form builds or checks a matrix.
     """
     if isinstance(document, str):
         try:
@@ -450,6 +468,7 @@ def parse_params(document: Union[str, dict]) -> QuantumParams:
     if "n" not in data:
         raise ParamsDocError("n: required")
     n = _require_int(data["n"], "n")
+    _check_size(n)
     forms = [k for k in ("exponents", "twist", "entries") if k in data]
     if len(forms) != 1:
         raise ParamsDocError(

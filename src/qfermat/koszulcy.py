@@ -382,17 +382,22 @@ def compare_frobenius(params: QuantumParams) -> FrobeniusComparison:
 
     The two conventions may differ by one overall unit; the comparison
     records that ratio instead of collapsing the routes into each other.
+    Both routes return interned roots, so they are compared on exponents:
+    with zeta_2n^(b_j) and zeta_2n^(c_j) the two scalars of y_j, they agree
+    exactly when b_j - c_j is one residue r mod 2n for every j, and the
+    ratio is then zeta_2n^r.
     """
     brute = frobenius_bruteforce(params)
     closed = frobenius_closedform(params)
-    ratios = [b / c for b, c in zip(brute, closed)]
-    agree = all(r == ratios[0] for r in ratios[1:])
+    m = 2 * params.n
+    residues = {(b.root_exp - c.root_exp) % m for b, c in zip(brute, closed)}
+    agree = len(residues) == 1
     return FrobeniusComparison(
         params=params,
         bruteforce=brute,
         closedform=closed,
         agree_mod_scalar=agree,
-        ratio=ratios[0] if agree else None,
+        ratio=CycloField(m).zeta(residues.pop()) if agree else None,
     )
 
 

@@ -26,6 +26,8 @@ EXPS3 = '{"n":3,"exponents":[[0,1,2],[2,0,1],[1,2,0]]}'
 TWIST4 = '{"n":4,"twist":[0,1,1,3]}'
 # three maximal faces at n = 40; the subset sweep would visit 2^40 subsets
 ONE_RELATION40 = '{"n":40,"entries":[{"i":1,"j":2,"e":1}]}'
+# refused when n is read: every form builds an n x n matrix, here 10^10 cells
+HUGE_N = '{"n":100000,"entries":[]}'
 GOOD_DOCS = (TWIST5, SKEW5, GENERIC4, ENTRIES5, ENTRIES3, EXPS3, TWIST4)
 
 BAD_DOCS = (
@@ -156,6 +158,7 @@ def corpus() -> list[list[str]]:
         out.append(["check-cy", doc])
     for algebra in ("A", "B"):
         out.append(["hilb1", "--algebra", algebra, ONE_RELATION40])
+    both("check-cy", HUGE_N)
     return out
 
 

@@ -241,8 +241,9 @@ def test_recursion_error_outside_the_parsers_is_an_internal_error(capsys, monkey
 
 
 def test_out_of_memory_is_a_capacity_error(capsys, monkeypatch):
-    # parse_params allocates n^2 cells before any check, so a huge n can
-    # exhaust memory there; that must never read as "predicate false".
+    # Running out of memory anywhere, simulated here in parse_params, must
+    # never read as "predicate false".  (The real parse_params refuses this
+    # n with a CapacityError before it allocates anything.)
     def exhausted(text):
         raise MemoryError
 

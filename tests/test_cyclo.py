@@ -1,5 +1,6 @@
 """Exact cyclotomic arithmetic: pinned values and field axioms."""
 
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from qfermat.cyclo import (
     CycloField,
+    Cyclotomic,
     FieldMismatchError,
     cyclotomic_polynomial,
 )
@@ -356,6 +358,23 @@ def test_results_stay_canonical_under_random_operation_sequences(m, data):
 
 @given(st.data())
 def test_boundary_formats_match_fractions(data):
+    # an interned root, exponent outside 0..m-1 included, serializes like the
+    # untagged element with its numerators: from the field's strings, filled
+    # on first use by whichever copy comes first, into a fresh dict and list
+    m = data.draw(st.integers(1, 30))
+    k = data.draw(st.integers(-3 * m, 3 * m))
+    root = CycloField(m).zeta(k)
+    plain = Cyclotomic(root.field, root.nums, root.den).to_json()
+    root.field._root_coords.pop(root.root_exp, None)
+    copy = pickle.loads(pickle.dumps(root))
+    assert copy is not root and copy.root_exp == root.root_exp
+    assert copy.to_json() == plain
+    first, second = root.to_json(), root.to_json()
+    assert first == second == plain
+    assert first is not second and first["coords"] is not second["coords"]
+    first["coords"][0] = "junk"
+    first["coords"].append("junk")
+    assert root.to_json() == copy.to_json() == plain
     a = data.draw(field_elements())
     assert all(type(c) is Fraction for c in a.coords)
     assert a.to_json()["coords"] == [str(c) for c in a.coords]

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfermat import expr
+from qfermat.census import CapacityError
 from qfermat.cyclo import CycloField
 from qfermat.expr import (
     MAX_NESTING,
@@ -425,6 +427,38 @@ def test_overlong_json_integer_before_a_syntax_error_is_invalid_json():
     with pytest.raises(ParamsDocError) as err:
         parse_params(f'{{"n":3,"twist":[{_LONG},0,0')
     assert str(err.value).startswith("invalid JSON: ")
+
+
+@pytest.mark.parametrize("form", ["twist", "entries"])
+def test_parameter_documents_are_bounded_at_two_thousand_generators(form, monkeypatch):
+    def doc(n):
+        body = list(range(n)) if form == "twist" else [{"i": 1, "j": n, "e": 1}]
+        return json.dumps({"n": n, form: body})
+
+    p = parse_params(doc(2000))
+    # e_(1,2000) is 1 in both: d_1 - d_2000 = -1999, or the one entry
+    assert p.n == 2000 and p.exps[0][1999] == 1
+
+    # a larger n is refused as it is read, before any matrix is built
+    def no_matrix(*args):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(expr, "from_twist", no_matrix)
+    monkeypatch.setattr(expr, "validate_params", no_matrix)
+    with pytest.raises(CapacityError) as err:
+        parse_params(doc(2001))
+    assert str(err.value) == (
+        "n=2001 needs 2001^2 = 4004001 matrix cells, "
+        "beyond the supported bound of 4000000 cells (n <= 2000)"
+    )
+    # an n whose square has hundreds of digits is named by its power alone
+    huge = "7" * 300
+    with pytest.raises(CapacityError) as err:
+        parse_params(f'{{"n":{huge},"{form}":[]}}')
+    assert str(err.value) == (
+        f"n={huge} needs {huge}^2 matrix cells, "
+        "beyond the supported bound of 4000000 cells (n <= 2000)"
+    )
 
 
 def test_invalid_matrices_fail_with_entry_names():

@@ -454,8 +454,36 @@ def test_frobenius_json_matches_the_generic_arithmetic_path():
     for n in (*range(2, 9), 10, FROBENIUS_MAX_N):
         for _ in range({7: 4, 8: 2, 10: 1, FROBENIUS_MAX_N: 1}.get(n, 12)):
             p = random_params(n, rng)
-            fast = json.dumps(compare_frobenius(p).to_json_dict(), sort_keys=True)
+            comp = compare_frobenius(p)
+            # the comparison reads exponents, so both routes must tag them
+            assert all(c.root_exp is not None for c in comp.bruteforce + comp.closedform)
+            fast = json.dumps(comp.to_json_dict(), sort_keys=True)
             assert fast == json.dumps(_generic_frobenius_json(p), sort_keys=True)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_frobenius_routes_agree_iff_their_exponents_differ_by_one_residue(n, monkeypatch):
+    # The routes always agree, so the disagreement path is reached by moving
+    # one closed-form scalar by a nontrivial root zeta_2n^k.  Moving all of
+    # them keeps the agreement and divides the ratio -1 by zeta_2n^k.
+    p = random_params(n, random.Random(n))
+    closed = frobenius_closedform(p)
+    zeta = CycloField(2 * n).zeta
+    for k in range(2 * n):
+        moved = tuple(c * zeta(k) for c in closed)
+        monkeypatch.setattr(koszulcy, "frobenius_closedform", lambda _: moved)
+        comp = compare_frobenius(p)
+        assert comp.agree_mod_scalar and comp.ratio == -zeta(-k)
+    for j in range(n):
+        for k in (1, n, 2 * n - 1):
+            moved = closed[:j] + (closed[j] * zeta(k),) + closed[j + 1:]
+            monkeypatch.setattr(koszulcy, "frobenius_closedform", lambda _: moved)
+            comp = compare_frobenius(p)
+            assert comp.closedform == moved
+            assert comp.agree_mod_scalar is False
+            assert comp.ratio is None
+            blob = json.loads(json.dumps(comp.to_json_dict()))
+            assert blob["agree_mod_scalar"] is False and blob["ratio"] is None
 
 
 def test_closed_form_reads_the_row_sums():
